@@ -3,8 +3,7 @@
 Subcommands: synth, preprocess, features, entrain, validate, dyads,
 stats (ttest|pearson|icc|grid), grid, run. Pipeline options can come from
 a flat ``key=value`` config file (or a previous run's ``run.json``), with
-explicit flags taking precedence. ``F0ENTRAIN_THREADS`` sets the default
-worker count; it never changes numeric results.
+explicit flags taking precedence.
 
 Exit codes: 0 success, 1 corpus/data error, 2 I/O error.
 """
@@ -14,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -26,16 +24,6 @@ from f0entrain.preprocess import SmoothingConfig, clean_track
 from f0entrain.pipeline import RunConfig
 
 _CONFIG_FIELDS = {f.name: f.type for f in fields(RunConfig)}
-
-
-def _default_threads() -> int:
-    env = os.environ.get("F0ENTRAIN_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ParseError(f"F0ENTRAIN_THREADS must be an integer, got {env!r}") from None
-    return 1
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -69,7 +57,7 @@ def load_config_file(path: str | Path) -> dict:
 def _coerce(key: str, value):
     if value is None or (isinstance(value, str) and value.lower() in ("", "none")):
         return None
-    if key in ("window", "order", "threads"):
+    if key in ("window", "order"):
         return int(value)
     if key in ("alpha", "trend", "semitone", "pitch_floor", "pitch_ceiling"):
         return float(value)
@@ -101,7 +89,6 @@ def _add_pipeline_args(parser: argparse.ArgumentParser, need_out: bool = True) -
     parser.add_argument("--pitch-floor", type=float, dest="pitch_floor")
     parser.add_argument("--pitch-ceiling", type=float, dest="pitch_ceiling")
     parser.add_argument("--grid-measure", choices=["e_opt", "e_raw"], dest="grid_measure")
-    parser.add_argument("--threads", type=int, help="worker threads (never changes results)")
 
 
 def build_run_config(args: argparse.Namespace, require_out: bool = True) -> RunConfig:
@@ -112,7 +99,6 @@ def build_run_config(args: argparse.Namespace, require_out: bool = True) -> RunC
         given = getattr(args, name, None)
         if given is not None:
             values[name] = given
-    values.setdefault("threads", _default_threads())
     if values.get("manifest") is None:
         raise ParseError("a corpus manifest is required (--manifest or config file)")
     if values.get("out") is None:
@@ -140,9 +126,7 @@ def cmd_synth(args) -> int:
     manifest_path = synth.gen_corpus(config, args.out)
     print(f"wrote corpus: {manifest_path}")
     if args.scores_coupling is not None:
-        run_config = RunConfig(
-            manifest=str(manifest_path), out=args.out, threads=_default_threads()
-        )
+        run_config = RunConfig(manifest=str(manifest_path), out=args.out)
         manifest = ingest.load_manifest(manifest_path)
         processed = pipeline.process_corpus(manifest, run_config)
         measurement = entrain.measure_corpus(

@@ -22,7 +22,6 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from f0entrain import kernels
 from f0entrain.errors import ComputeError
 from f0entrain.features import FEATURE_NAMES
 from f0entrain.ingest import CorpusManifest
@@ -75,11 +74,43 @@ def dtw_distance(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarra
 
     Local cost |a_i - b_j|; diagonal, horizontal, and vertical steps each
     add one local cost; the path is boundary-to-boundary with no warping
-    window; the total path cost is returned unnormalized.
+    window; the total path cost is returned unnormalized (Sakoe & Chiba
+    1978, full window). Runs on plain Python floats: for the short
+    contours compared here (roughly 6-13 values), list indexing beats
+    per-element numpy access by a wide margin.
     """
-    if len(a) == 0 or len(b) == 0:
+    n = len(a)
+    m = len(b)
+    if n == 0 or m == 0:
         raise ComputeError("dtw_distance requires non-empty sequences")
-    return kernels.dtw_distance(a, b)
+    if isinstance(a, np.ndarray):
+        a = a.tolist()
+    if isinstance(b, np.ndarray):
+        b = b.tolist()
+
+    b0 = b[0]
+    a0 = a[0]
+    prev = [0.0] * m
+    prev[0] = a0 - b0 if a0 >= b0 else b0 - a0
+    for j in range(1, m):
+        bj = b[j]
+        prev[j] = prev[j - 1] + (a0 - bj if a0 >= bj else bj - a0)
+    for i in range(1, n):
+        ai = a[i]
+        cur = [0.0] * m
+        cur[0] = prev[0] + (ai - b0 if ai >= b0 else b0 - ai)
+        for j in range(1, m):
+            best = prev[j - 1]
+            pj = prev[j]
+            if pj < best:
+                best = pj
+            cj = cur[j - 1]
+            if cj < best:
+                best = cj
+            bj = b[j]
+            cur[j] = best + (ai - bj if ai >= bj else bj - ai)
+        prev = cur
+    return prev[m - 1]
 
 
 def compute_samples(manifest: CorpusManifest, contours: ContourMap) -> list[DtwSample]:
@@ -107,11 +138,6 @@ def e_raw(imitator: str, feature: str, samples: Iterable[DtwSample]) -> float:
     if not values:
         raise ComputeError(f"no DTW samples for speaker {imitator!r}, feature {feature!r}")
     return float(np.mean(values))
-
-
-def partner_distance(target: str, feature: str, samples: Iterable[DtwSample]) -> float:
-    """Real-dyad distance; by definition identical to ``e_raw``."""
-    return e_raw(target, feature, samples)
 
 
 class NormalizedSamples(NamedTuple):
@@ -304,6 +330,7 @@ def measure_corpus(
                 )
             )
 
+    raw = {(s.speaker, s.feature): s.e_raw for s in scores}
     partner_other: list[PartnerOther] = []
     if with_surrogates:
         for speaker in speakers:
@@ -315,13 +342,12 @@ def measure_corpus(
                     PartnerOther(
                         speaker=speaker,
                         feature=feature,
-                        partner_distance=partner_distance(speaker, feature, by_feature[feature]),
+                        partner_distance=raw[(speaker, feature)],
                         other_distance=other,
                         n_surrogates=n_sur,
                     )
                 )
 
-    raw = {(s.speaker, s.feature): s.e_raw for s in scores}
     dyad_scores = []
     for a, b in manifest.dyads:
         for feature in FEATURE_NAMES:

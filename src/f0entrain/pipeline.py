@@ -2,16 +2,14 @@
 
 Wires ingest -> (optional pitch estimation) -> preprocessing -> per-word
 features -> entrainment measures -> statistics, and writes the CSV/JSON
-bundle. Per-utterance work runs on a thread pool; all reductions and file
-writes happen in a deterministic order on the calling thread, so output
-bytes are independent of the thread count.
+bundle. Every stage runs in manifest order in one thread, so the output
+bytes depend only on the corpus and the configuration.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -43,11 +41,7 @@ QUANTILE_CONVENTION = "type7"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Reproducible configuration of a pipeline run.
-
-    ``threads`` only controls parallelism and never changes numeric
-    results; it is deliberately excluded from the recorded run metadata.
-    """
+    """Reproducible configuration of a pipeline run."""
 
     manifest: str
     out: str
@@ -65,11 +59,8 @@ class RunConfig:
     pitch_floor: float = 75.0
     pitch_ceiling: float = 600.0
     grid_measure: str = "e_opt"            # or "e_raw"
-    threads: int = 1
 
     def __post_init__(self):
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
         if self.outlier_scope not in ("utterance", "speaker"):
             raise ValueError(f"unknown outlier scope {self.outlier_scope!r}")
         if self.grid_measure not in ("e_opt", "e_raw"):
@@ -77,9 +68,8 @@ class RunConfig:
         SmoothingConfig(self.window, self.order)
 
     def recorded(self) -> dict:
-        """Config as recorded in run.json (threads excluded)."""
+        """Config as recorded in run.json."""
         doc = asdict(self)
-        doc.pop("threads")
         doc["quantile_convention"] = QUANTILE_CONVENTION
         return doc
 
@@ -138,16 +128,7 @@ def process_corpus(manifest: CorpusManifest, config: RunConfig) -> ProcessedCorp
     renditions = collect_renditions(manifest)
     smoothing = SmoothingConfig(config.window, config.order)
 
-    def load_interp(r: Rendition) -> F0Track:
-        return interpolate_unvoiced(_load_track(r, config))
-
-    def ordered_map(fn, items):
-        if config.threads == 1:
-            return [fn(item) for item in items]
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            return list(pool.map(fn, items))
-
-    tracks = ordered_map(load_interp, renditions)
+    tracks = [interpolate_unvoiced(_load_track(r, config)) for r in renditions]
 
     bounds: dict[str, tuple[float, float]] = {}
     if config.outlier_scope == "speaker":
@@ -158,22 +139,16 @@ def process_corpus(manifest: CorpusManifest, config: RunConfig) -> ProcessedCorp
             spk: outlier_bounds(np.concatenate(vals)) for spk, vals in grouped.items()
         }
 
-    def finish(item: tuple[Rendition, F0Track]):
-        r, track = item
+    utterances: dict[tuple[str, int, str], UtteranceFeatures] = {}
+    contours: dict[tuple[str, int, str], dict[str, np.ndarray]] = {}
+    total_dropped = 0
+    for r, track in zip(renditions, tracks):
         track = two_pass_outlier(track, bounds=bounds.get(r.speaker)).track
         track = sg_smooth(track, smoothing)
         if config.semitone is not None:
             track = to_semitones(track, config.semitone)
         spans, _ = ingest.load_alignment(r.align_path)
         utt, dropped = parameterize_utterance(track, spans, r.speaker, r.index)
-        return utt, dropped
-
-    results = ordered_map(finish, list(zip(renditions, tracks)))
-
-    utterances: dict[tuple[str, int, str], UtteranceFeatures] = {}
-    contours: dict[tuple[str, int, str], dict[str, np.ndarray]] = {}
-    total_dropped = 0
-    for r, (utt, dropped) in zip(renditions, results):
         key = (r.speaker, r.index, r.role)
         utterances[key] = utt
         contours[key] = {
@@ -332,10 +307,6 @@ def format_icc_csv(rows: Iterable[tuple[str, stats.IccResult]]) -> str:
             f"{criterion},{res.icc:.3f},{p_str},{res.ci_low:.2f},{res.ci_high:.2f}"
         )
     return "\n".join(lines) + "\n"
-
-
-def write_icc_csv(rows: Iterable[tuple[str, stats.IccResult]], path: str | Path) -> None:
-    Path(path).write_text(format_icc_csv(rows))
 
 
 # ---------------------------------------------------------------------------

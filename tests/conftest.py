@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -7,7 +9,24 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
+import f0entrain
 from f0entrain.types import F0Track
+
+# the directory that holds the f0entrain package this process imported
+PACKAGE_ROOT = str(Path(f0entrain.__file__).resolve().parents[1])
+
+
+def run_cli(*args, cwd=None, env_extra=None):
+    """Run ``python -m f0entrain.cli`` in a fresh interpreter process."""
+    env = dict(os.environ, **(env_extra or {}))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "f0entrain.cli", *map(str, args)],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=cwd,
+    )
 
 
 def make_track(values, voiced=None, start=0.0, step=0.01) -> F0Track:

@@ -7,20 +7,20 @@ generated corpora, disk round-trips included.
 """
 
 import math
+import shutil
 import time
 from contextlib import contextmanager
 
 import numpy as np
 
 from f0entrain import entrain, ingest, pipeline, stats, synth
-from f0entrain.cli import main as cli_main
 from f0entrain.entrain import inner_dyad_distance, normalize_samples
 from f0entrain.features import FEATURE_NAMES, word_features
 from f0entrain.preprocess import SmoothingConfig, outlier_bounds, sg_coefficients, sg_smooth, two_pass_outlier
 from f0entrain.stats import TestResult, icc_3k, one_sided_p, pearson, reg_inc_beta, t_sf
 from f0entrain.types import WordSpan
 
-from conftest import make_track
+from conftest import make_track, run_cli
 from oracles import dtw_bruteforce
 
 
@@ -34,8 +34,8 @@ def criterion(num: int, description: str):
     print(f"[criterion {num:2d}] PASS  {description}")
 
 
-def _measure(manifest_path, threads=1, surrogates=True, normalization=True):
-    config = pipeline.RunConfig(manifest=str(manifest_path), out=".", threads=threads)
+def _measure(manifest_path, surrogates=True, normalization=True):
+    config = pipeline.RunConfig(manifest=str(manifest_path), out=".")
     manifest = ingest.load_manifest(manifest_path)
     processed = pipeline.process_corpus(manifest, config)
     return entrain.measure_corpus(
@@ -259,7 +259,7 @@ def test_c09_normalization_self_consistency(tmp_path):
 
 
 def test_c10_run_determinism(tmp_path):
-    with criterion(10, "run bundles byte-identical across thread counts 1 and 8"):
+    with criterion(10, "run bundles byte-identical across two interpreter processes"):
         corpus_dir = tmp_path / "corpus"
         manifest_path = synth.gen_corpus(
             synth.SynthConfig(n_dyads=4, n_utterances=6, noise_eps=0.6, seed=1010), corpus_dir
@@ -277,15 +277,18 @@ def test_c10_run_determinism(tmp_path):
         scores_path = corpus_dir / "scores.csv"
         ingest.write_scores_csv(scores_rows, scores_path)
 
-        out = tmp_path / "bundle"
-        args = [
-            "run", "--manifest", str(manifest_path), "--scores", str(scores_path),
-            "--out", str(out),
-        ]
-        assert cli_main(args + ["--threads", "1"]) == 0
-        first = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-        assert cli_main(args + ["--threads", "8"]) == 0
-        second = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        # string hashing is seeded per process, so a result that depends on
+        # the iteration order of a set or dict of strings differs between them
+        bundles = []
+        for hash_seed in ("1", "2"):
+            shutil.rmtree(tmp_path / "bundle", ignore_errors=True)
+            res = run_cli(
+                "run", "--manifest", "corpus/manifest.json", "--scores", "corpus/scores.csv",
+                "--out", "bundle", cwd=tmp_path, env_extra={"PYTHONHASHSEED": hash_seed},
+            )
+            assert res.returncode == 0, res.stderr
+            bundles.append({p.name: p.read_bytes() for p in sorted((tmp_path / "bundle").iterdir())})
+        first, second = bundles
         assert first == second
         assert set(first) == {
             "features.csv", "dtw_samples.csv", "entrain.csv", "validate.csv",

@@ -1,7 +1,4 @@
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,16 +9,7 @@ from f0entrain.cli import main
 from f0entrain.pitch import Wave, write_wav
 from f0entrain.stats import GridCell
 
-
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    env.update(env_extra or {})
-    return subprocess.run(
-        [sys.executable, "-m", "f0entrain.cli", *map(str, args)],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+from conftest import run_cli
 
 
 @pytest.fixture(scope="module")
@@ -55,29 +43,7 @@ def test_run_bundle_contents(corpus, tmp_path):
     assert (out / "dyads.csv").read_text().splitlines()[0] == "speaker_a,speaker_b,feature,inner_dyad"
     doc = json.loads((out / "run.json").read_text())
     assert doc["config"]["quantile_convention"] == "type7"
-    assert "threads" not in doc["config"]
     assert len(doc["corpus_checksum"]) == 64
-
-
-def test_run_deterministic_across_thread_counts(corpus, tmp_path):
-    # same destination, so the recorded config is identical; only the
-    # thread count differs between invocations
-    out = tmp_path / "bundle"
-    assert main(["run", "--manifest", str(corpus / "manifest.json"), "--out", str(out),
-                 "--threads", "1"]) == 0
-    first = _bundle_bytes(out)
-    assert main(["run", "--manifest", str(corpus / "manifest.json"), "--out", str(out),
-                 "--threads", "4"]) == 0
-    assert _bundle_bytes(out) == first
-
-
-def test_threads_env_var(corpus, tmp_path):
-    out = tmp_path / "env"
-    res = run_cli(
-        "run", "--manifest", corpus / "manifest.json", "--out", out,
-        env_extra={"F0ENTRAIN_THREADS": "3"},
-    )
-    assert res.returncode == 0, res.stderr
 
 
 def test_run_json_round_trip(corpus, tmp_path):
@@ -103,6 +69,13 @@ def test_flat_config_file(corpus, tmp_path):
     out2 = tmp_path / "cfg_out2"
     assert main(["run", "--config", str(cfg), "--out", str(out2), "--window", "7"]) == 0
     assert json.loads((out2 / "run.json").read_text())["config"]["window"] == 7
+
+
+def test_removed_config_key_rejected(corpus, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"manifest={corpus / 'manifest.json'}\nout={tmp_path / 'x'}\nthreads=2\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert "unknown config key 'threads'" in capsys.readouterr().err
 
 
 def test_missing_f0_file_exits_2(corpus, tmp_path):

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from f0entrain import kernels
 from f0entrain.entrain import dtw_distance
 from f0entrain.errors import ComputeError
-from f0entrain.kernels import _core_py
 
 from oracles import dtw_bruteforce, dtw_bruteforce_full
 
@@ -69,19 +67,6 @@ def test_shift_invariance(a, b, c):
 def test_scale_covariance(a, b, k):
     scaled = dtw_distance([x * k for x in a], [x * k for x in b])
     assert scaled == pytest.approx(k * dtw_distance(a, b), rel=1e-9, abs=1e-9)
-
-
-@pytest.mark.skipif(kernels.BACKEND != "cython", reason="compiled kernel not built")
-def test_backends_agree_exactly():
-    from f0entrain.kernels import _core
-
-    rng = np.random.default_rng(7)
-    for _ in range(500):
-        a = rng.uniform(-50, 400, size=rng.integers(1, 14))
-        b = rng.uniform(-50, 400, size=rng.integers(1, 14))
-        compiled = _core.dtw_distance(a, b)
-        pure = _core_py.dtw_distance(a.tolist(), b.tolist())
-        assert compiled == pure  # identical operation order, bit-equal
 
 
 def test_accepts_readonly_arrays():

@@ -11,7 +11,6 @@ from f0entrain.entrain import (
     measure_corpus,
     normalize_samples,
     other_distance,
-    partner_distance,
 )
 from f0entrain.errors import ComputeError
 from f0entrain.features import FEATURE_NAMES
@@ -26,7 +25,7 @@ def _sample(imitator, feature, distance, model="X", index=0):
 
 
 # ---------------------------------------------------------------------------
-# e_raw / partner
+# e_raw
 
 
 def test_e_raw_is_mean():
@@ -46,11 +45,6 @@ def test_e_raw_filters_speaker_and_feature():
 def test_e_raw_no_samples():
     with pytest.raises(ComputeError):
         e_raw("A", "mean", [])
-
-
-def test_partner_distance_is_e_raw():
-    samples = [_sample("A", "mean", 1.0), _sample("A", "mean", 5.0)]
-    assert partner_distance("A", "mean", samples) == e_raw("A", "mean", samples)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +192,9 @@ def test_measure_corpus_end_to_end(tmp_path):
     po = {(p.speaker, p.feature): p for p in meas.partner_other}
     assert po[("A", "mean")].partner_distance == pytest.approx(2.0)
     assert po[("A", "mean")].other_distance > po[("A", "mean")].partner_distance
+    # the partner distance is e_raw by definition
+    for s in meas.speaker_scores:
+        assert po[(s.speaker, s.feature)].partner_distance == s.e_raw
     # corpus-wide normalized samples have mean 0 / sd 1
     for feature in FEATURE_NAMES:
         z = []

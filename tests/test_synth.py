@@ -6,8 +6,8 @@ from f0entrain.errors import ComputeError
 from f0entrain.synth import SynthConfig, gen_corpus, gen_scores
 
 
-def _measure_raw(manifest_path, threads=1):
-    config = pipeline.RunConfig(manifest=str(manifest_path), out=".", threads=threads)
+def _measure_raw(manifest_path):
+    config = pipeline.RunConfig(manifest=str(manifest_path), out=".")
     manifest = ingest.load_manifest(manifest_path)
     processed = pipeline.process_corpus(manifest, config)
     return manifest, entrain.measure_corpus(
