@@ -18,7 +18,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from f0entrain import __version__, entrain, ingest, pipeline, stats, synth
-from f0entrain.errors import DataError, ParseError
+from f0entrain.errors import ComputeError, DataError, ParseError
 from f0entrain.ingest import ALL_CRITERIA
 from f0entrain.preprocess import SmoothingConfig, clean_track
 from f0entrain.pipeline import RunConfig
@@ -112,17 +112,33 @@ def build_run_config(args: argparse.Namespace, require_out: bool = True) -> RunC
 # subcommands
 
 
+def _warn(messages) -> None:
+    for message in messages:
+        print(f"warning: {message}", file=sys.stderr)
+
+
 def cmd_synth(args) -> int:
-    config = synth.SynthConfig(
-        n_dyads=args.dyads,
-        n_utterances=args.utts,
-        noise_eps=args.eps,
-        words_min=args.words_min,
-        words_max=args.words_max,
-        base_f0_low=args.base_low,
-        base_f0_high=args.base_high,
-        seed=args.seed,
-    )
+    # every option is checked before anything is written
+    try:
+        config = synth.SynthConfig(
+            n_dyads=args.dyads,
+            n_utterances=args.utts,
+            noise_eps=args.eps,
+            words_min=args.words_min,
+            words_max=args.words_max,
+            base_f0_low=args.base_low,
+            base_f0_high=args.base_high,
+            seed=args.seed,
+        )
+        if args.scores_coupling is not None:
+            synth.check_score_options(args.scores_coupling, args.scores_noise)
+    except ValueError as exc:
+        raise ComputeError(f"synth: {exc}") from None
+    if args.scores_coupling is not None and args.eps == 0:
+        raise ComputeError(
+            "--scores-coupling needs --eps > 0: with --eps 0 every imitation equals "
+            "its model, so every speaker's e_raw is 0 and scores cannot follow it"
+        )
     manifest_path = synth.gen_corpus(config, args.out)
     print(f"wrote corpus: {manifest_path}")
     if args.scores_coupling is not None:
@@ -157,6 +173,7 @@ def _processed(args, need_scores: bool = False):
     config = build_run_config(args)
     manifest = ingest.load_manifest(config.manifest)
     processed = pipeline.process_corpus(manifest, config)
+    _warn(processed.warnings())
     scores = ingest.load_scores(config.scores) if (need_scores and config.scores) else None
     return config, manifest, processed, scores
 
@@ -208,6 +225,7 @@ def cmd_dyads(args) -> int:
 def cmd_run(args) -> int:
     config = build_run_config(args)
     bundle = pipeline.run_pipeline(config)
+    _warn(bundle.warnings)
     print(f"wrote bundle: {bundle.out_dir} ({', '.join(bundle.files)})")
     return 0
 

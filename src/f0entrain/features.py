@@ -18,11 +18,13 @@ from all five per-utterance contours.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from f0entrain.errors import ComputeError
-from f0entrain.quantiles import quantile
+from f0entrain.quantiles import type7_position
 from f0entrain.types import F0Track, WordSpan
 from f0entrain import ingest
 
@@ -31,8 +33,7 @@ FEATURE_NAMES = ("mean", "median", "slope", "range", "drop")
 SEMITONES_PER_OCTAVE = 12.0
 
 
-@dataclass(frozen=True)
-class WordFeatures:
+class WordFeatures(NamedTuple):
     mean: float
     median: float
     slope: float
@@ -57,12 +58,66 @@ class ParamContour:
         if v.size < 1 or not np.all(np.isfinite(v)):
             raise ComputeError(f"{self.feature} contour must be non-empty and finite")
 
+    @classmethod
+    def _trusted(cls, feature: str, values: np.ndarray) -> "ParamContour":
+        """Construct without re-validating a non-empty, finite, read-only float64 array."""
+        contour = object.__new__(cls)
+        object.__setattr__(contour, "feature", feature)
+        object.__setattr__(contour, "values", values)
+        return contour
+
 
 @dataclass(frozen=True)
 class UtteranceFeatures:
     speaker: str
     utterance_index: int
     words: tuple[tuple[WordSpan, WordFeatures], ...]
+
+
+@lru_cache(maxsize=256)
+def _word_grid(n: int):
+    """Constants of an n-sample word (n >= 2), shared by every word of that length.
+
+    Normalized times t = i / (n - 1) as floats, in time order and reversed;
+    the centered times t - 0.5 and their sum of squares for the OLS slope;
+    and the type-7 positions of the median and the 5th/95th percentiles.
+    """
+    t = np.arange(n, dtype=np.float64) / (n - 1)
+    centered = t - 0.5
+    centered.flags.writeable = False
+    times = tuple(t.tolist())
+    positions = tuple(type7_position(n, p) for p in (0.5, 0.05, 0.95))
+    return times, times[::-1], centered, float(np.dot(centered, centered)), positions
+
+
+def _summarize(y: np.ndarray, step: float) -> WordFeatures:
+    """Five features of one word's n >= 2 samples ``y``, taken ``step`` s apart."""
+    n = y.size
+    times, reversed_times, centered, sxx, (mid, p05, p95) = _word_grid(n)
+    mean = float(np.add.reduce(y)) / n  # what y.mean() computes
+    slope = float(np.dot(centered, y - mean)) / sxx
+    intercept = mean - slope * 0.5
+
+    x = y.copy()
+    x.sort()
+    lo, hi, frac = mid
+    a = float(x[lo])
+    median = a + frac * (float(x[hi]) - a)
+
+    # The fitted line intercept + slope * t is monotone in t (each rounded
+    # step preserves order), so its order statistics are its values in time
+    # order, reversed when it falls: the same floats a sort would give.
+    ranked = reversed_times if slope < 0 else times
+    lo, hi, frac = p05
+    a = intercept + slope * ranked[lo]
+    q05 = a + frac * (intercept + slope * ranked[hi] - a)
+    lo, hi, frac = p95
+    a = intercept + slope * ranked[lo]
+    q95 = a + frac * (intercept + slope * ranked[hi] - a)
+
+    first = intercept + slope * times[0]
+    last = intercept + slope * times[-1]
+    return WordFeatures(mean, median, slope, q95 - q05, (last - first) / ((n - 1) * step))
 
 
 def linear_fit(segment: F0Track) -> tuple[float, float]:
@@ -72,33 +127,18 @@ def linear_fit(segment: F0Track) -> tuple[float, float]:
     over the unit interval). Raises ComputeError for segments with fewer
     than 2 samples.
     """
-    y = segment.values
-    n = y.size
-    if n < 2:
+    if segment.values.size < 2:
         raise ComputeError("degenerate fit: need at least 2 samples")
-    t = np.arange(n, dtype=np.float64) / (n - 1)
-    t_centered = t - 0.5
-    slope = float(np.dot(t_centered, y - y.mean()) / np.dot(t_centered, t_centered))
-    intercept = float(y.mean() - slope * 0.5)
-    return intercept, slope
+    wf = _summarize(segment.values, segment.step)
+    return wf.mean - wf.slope * 0.5, wf.slope
 
 
 def word_features(segment: F0Track, span: WordSpan) -> WordFeatures:
     """Five-feature summary of one word's pitch samples (see module doc)."""
-    y = segment.values
-    n = y.size
+    n = segment.values.size
     if n < 2:
         raise ComputeError(f"word {span.text!r}: need at least 2 samples, got {n}")
-    intercept, slope = linear_fit(segment)
-    fitted = intercept + slope * (np.arange(n, dtype=np.float64) / (n - 1))
-    elapsed = (n - 1) * segment.step
-    return WordFeatures(
-        mean=float(y.mean()),
-        median=quantile(y, 0.5),
-        slope=slope,
-        range=quantile(fitted, 0.95) - quantile(fitted, 0.05),
-        drop=(float(fitted[-1]) - float(fitted[0])) / elapsed,
-    )
+    return _summarize(segment.values, segment.step)
 
 
 def to_semitones(track: F0Track, reference_hz: float) -> F0Track:
@@ -123,16 +163,12 @@ def parameterize_utterance(
     """
     words: list[tuple[WordSpan, WordFeatures]] = []
     dropped = 0
-    for span in spans:
-        try:
-            segment = ingest.slice_track(track, span)
-        except ComputeError:
+    windows = ingest.sample_windows(track, spans)
+    for span, (i0, i1) in zip(spans, windows):
+        if i1 - i0 < 2:
             dropped += 1
             continue
-        if len(segment) < 2:
-            dropped += 1
-            continue
-        words.append((span, word_features(segment, span)))
+        words.append((span, _summarize(track.values[i0:i1], track.step)))
     return UtteranceFeatures(speaker, utterance_index, tuple(words)), dropped
 
 
@@ -143,7 +179,11 @@ def build_contours(utt: UtteranceFeatures) -> dict[str, ParamContour]:
             f"empty utterance: no retained words for speaker {utt.speaker!r} "
             f"utterance {utt.utterance_index}"
         )
-    return {
-        name: ParamContour(name, np.array([wf.value(name) for _, wf in utt.words]))
-        for name in FEATURE_NAMES
-    }
+    # one row per feature, each a contiguous read-only column of the word table
+    table = np.array([wf for _, wf in utt.words], dtype=np.float64).T.copy()
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        name = FEATURE_NAMES[int(np.argmin(finite))]
+        raise ComputeError(f"{name} contour must be non-empty and finite")
+    table.flags.writeable = False
+    return {name: ParamContour._trusted(name, row) for name, row in zip(FEATURE_NAMES, table)}

@@ -184,7 +184,11 @@ def load_manifest(path: str | Path) -> CorpusManifest:
             raise ParseError(f"{path}: {context} must be an object")
         imitator = str(_require(entry, "imitator", context))
         model = str(_require(entry, "model", context))
-        index = int(_require(entry, "index", context))
+        index = _require(entry, "index", context)
+        try:
+            index = int(index)
+        except (TypeError, ValueError):
+            raise ParseError(f"{path}: {context} has non-integer index {index!r}") from None
         if imitator not in known:
             raise ValidationError(f"{path}: {context} references unknown speaker {imitator!r}")
         if model not in known:
@@ -262,15 +266,25 @@ def load_alignment(path: str | Path) -> tuple[list[WordSpan], int]:
 
     spans: list[WordSpan] = []
     dropped = 0
-    for seg in doc["segments"]:
-        for entry in seg.get("words", []):
+    for i, seg in enumerate(doc["segments"]):
+        words = seg.get("words", []) if isinstance(seg, dict) else None
+        if not isinstance(words, list):
+            raise ParseError(f"{path}: segments[{i}] must be an object with a 'words' list")
+        for entry in words:
+            if not isinstance(entry, dict):
+                raise ParseError(f"{path}: segments[{i}] has a word that is not an object")
             word = str(entry.get("word", "")).strip()
             start = entry.get("start")
             end = entry.get("end")
             if start is None or end is None:
                 dropped += 1
                 continue
-            start, end = float(start), float(end)
+            try:
+                start, end = float(start), float(end)
+            except (TypeError, ValueError):
+                raise ParseError(
+                    f"{path}: word {word!r} has a non-numeric time ({start!r}..{end!r})"
+                ) from None
             if not end > start:
                 raise ValidationError(
                     f"{path}: word {word!r} has non-positive duration ({start}..{end})"
@@ -305,21 +319,46 @@ def write_alignment(spans: Sequence[WordSpan], path: str | Path) -> None:
 # F0 CSV
 
 
-def load_f0_csv(path: str | Path) -> F0Track:
-    """Load a two-column ``time_s,f0_hz`` CSV into an F0Track.
+F0_HEADER = "time_s,f0_hz"
 
-    Times must be strictly increasing and uniformly spaced within 1e-6 s;
-    the step is inferred from the first two rows. An empty or zero f0
-    field marks an unvoiced sample.
+_NUMBER_BYTES = b"0123456789.eE+-"
+
+
+def _split_plain_f0(raw: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """Time and f0 columns of a plainly formatted file, or None for any other content.
+
+    Plain means rows of number characters [0-9.eE+-] as ``time,f0``, each
+    ending in "\\n": no spaces, blank lines or carriage returns. Splitting
+    such a body on commas and newlines gives exactly the fields that the
+    per-line parser takes, and as ASCII it reads the same as bytes or text.
     """
-    path = Path(path)
-    text = path.read_text()
+    header = F0_HEADER.encode() + b"\n"
+    if not raw.startswith(header):
+        return None
+    body = raw[len(header) :]
+    # deleting the number characters must leave one ",\n" per row
+    separators = body.translate(None, _NUMBER_BYTES)
+    if not body.endswith(b"\n") or separators != b",\n" * (len(separators) // 2):
+        return None
+    if b",\n" in body:
+        body = body.replace(b",\n", b",0\n")  # empty f0 field: unvoiced
+    fields = body.replace(b"\n", b",").split(b",")
+    fields.pop()  # the empty field after the final newline
+    try:
+        pairs = np.array(fields, dtype=np.float64).reshape(-1, 2)
+    except ValueError:
+        return None  # the per-line parser raises the error message
+    return pairs[:, 0], pairs[:, 1]
+
+
+def _split_f0_lines(text: str, path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """Time and f0 columns parsed line by line; raises ParseError naming the file."""
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise ParseError(f"{path}: empty F0 file")
     header = lines[0].strip()
-    if header != "time_s,f0_hz":
-        raise ParseError(f"{path}: expected header 'time_s,f0_hz', got {header!r}")
+    if header != F0_HEADER:
+        raise ParseError(f"{path}: expected header {F0_HEADER!r}, got {header!r}")
 
     time_fields: list[str] = []
     f0_fields: list[str] = []
@@ -337,13 +376,29 @@ def load_f0_csv(path: str | Path) -> F0Track:
         values = np.asarray(f0_fields, dtype=np.float64)
     except ValueError as exc:
         raise ParseError(f"{path}: non-numeric field ({exc})") from exc
+    return times, values
+
+
+def load_f0_csv(path: str | Path) -> F0Track:
+    """Load a two-column ``time_s,f0_hz`` CSV into an F0Track.
+
+    Times must be strictly increasing and uniformly spaced within 1e-6 s;
+    the step is inferred from the first two rows. An empty or zero f0
+    field marks an unvoiced sample.
+    """
+    path = Path(path)
+    columns = _split_plain_f0(path.read_bytes())
+    if columns is None:
+        columns = _split_f0_lines(path.read_text(), path)
+    times, values = columns
 
     if times.size == 0:
         raise ParseError(f"{path}: no samples")
     if times.size < 2:
         raise ParseError(f"{path}: at least two rows are needed to infer the step")
-    if np.any(values < 0):
-        row = int(np.flatnonzero(values < 0)[0])
+    negative = values < 0
+    if negative.any():
+        row = int(np.flatnonzero(negative)[0])
         raise ValidationError(f"{path}:{row + 2}: negative F0 ({values[row]})")
     step = float(times[1] - times[0])
     if step <= 0:
@@ -370,17 +425,30 @@ def write_f0_csv(track: F0Track, path: str | Path) -> None:
     Path(path).write_text("time_s,f0_hz\n" + "\n".join(rows) + "\n")
 
 
-def slice_track(track: F0Track, span: WordSpan) -> F0Track:
-    """Samples of ``track`` with times in the half-open window [start, end).
+def sample_windows(track: F0Track, spans: Sequence[WordSpan]) -> list[tuple[int, int]]:
+    """Per span, indices [i0, i1) of the samples with times in [start, end).
 
     Consecutive non-overlapping spans therefore partition samples with no
-    double counting. Raises ComputeError if no sample falls inside.
+    double counting. A window is empty when i1 <= i0.
     """
-    rel_start = (span.start - track.start_time) / track.step
-    rel_end = (span.end - track.start_time) / track.step
+    t0, step, size = track.start_time, track.step, len(track)
     # 1e-9-step slack so times printed at 6 decimals land on the intended side
-    i0 = max(0, math.ceil(rel_start - 1e-9 / track.step))
-    i1 = min(len(track), math.ceil(rel_end - 1e-9 / track.step))
+    slack = 1e-9 / step
+    return [
+        (
+            max(0, math.ceil((span.start - t0) / step - slack)),
+            min(size, math.ceil((span.end - t0) / step - slack)),
+        )
+        for span in spans
+    ]
+
+
+def slice_track(track: F0Track, span: WordSpan) -> F0Track:
+    """Samples of ``track`` in the window that ``sample_windows`` gives ``span``.
+
+    Raises ComputeError if no sample falls inside.
+    """
+    ((i0, i1),) = sample_windows(track, [span])
     if i1 <= i0:
         raise ComputeError(
             f"empty slice: no sample in [{span.start}, {span.end}) for word {span.text!r}"

@@ -92,6 +92,13 @@ class ProcessedCorpus:
     utterances: dict[tuple[str, int, str], UtteranceFeatures]
     contours: dict[tuple[str, int, str], dict[str, np.ndarray]]
     dropped_words: int = 0
+    untimed_words: int = 0
+
+    def warnings(self) -> list[str]:
+        """Data-quality warnings for the user; none of them changes the bundle."""
+        if not self.untimed_words:
+            return []
+        return [f"{self.untimed_words} word(s) without timestamps skipped"]
 
 
 def collect_renditions(manifest: CorpusManifest) -> list[Rendition]:
@@ -141,13 +148,13 @@ def process_corpus(manifest: CorpusManifest, config: RunConfig) -> ProcessedCorp
 
     utterances: dict[tuple[str, int, str], UtteranceFeatures] = {}
     contours: dict[tuple[str, int, str], dict[str, np.ndarray]] = {}
-    total_dropped = 0
+    total_dropped = total_untimed = 0
     for r, track in zip(renditions, tracks):
         track = two_pass_outlier(track, bounds=bounds.get(r.speaker)).track
         track = sg_smooth(track, smoothing)
         if config.semitone is not None:
             track = to_semitones(track, config.semitone)
-        spans, _ = ingest.load_alignment(r.align_path)
+        spans, untimed = ingest.load_alignment(r.align_path)
         utt, dropped = parameterize_utterance(track, spans, r.speaker, r.index)
         key = (r.speaker, r.index, r.role)
         utterances[key] = utt
@@ -155,7 +162,10 @@ def process_corpus(manifest: CorpusManifest, config: RunConfig) -> ProcessedCorp
             name: contour.values for name, contour in build_contours(utt).items()
         }
         total_dropped += dropped
-    return ProcessedCorpus(manifest, renditions, utterances, contours, total_dropped)
+        total_untimed += untimed
+    return ProcessedCorpus(
+        manifest, renditions, utterances, contours, total_dropped, total_untimed
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -180,26 +190,13 @@ def _bool(b: bool) -> str:
 
 def write_features_csv(processed: ProcessedCorpus, path: str | Path) -> None:
     lines = ["speaker,utterance,word_index,word,start_s,end_s,mean,median,slope,range,drop"]
+    row = "%s,%d,%d,%s" + ",%.6f" * 7
     for r in processed.renditions:
         utt = processed.utterances[(r.speaker, r.index, r.role)]
-        for word_index, (span, wf) in enumerate(utt.words):
-            lines.append(
-                ",".join(
-                    [
-                        utt.speaker,
-                        str(utt.utterance_index),
-                        str(word_index),
-                        span.text,
-                        _f6(span.start),
-                        _f6(span.end),
-                        _f6(wf.mean),
-                        _f6(wf.median),
-                        _f6(wf.slope),
-                        _f6(wf.range),
-                        _f6(wf.drop),
-                    ]
-                )
-            )
+        lines.extend(
+            row % (utt.speaker, utt.utterance_index, word_index, span.text, span.start, span.end, *wf)
+            for word_index, (span, wf) in enumerate(utt.words)
+        )
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -329,6 +326,7 @@ def corpus_checksum(manifest_path: str | Path, manifest: CorpusManifest) -> str:
 class RunBundle:
     out_dir: Path
     files: tuple[str, ...] = field(default=())
+    warnings: tuple[str, ...] = field(default=())
 
 
 def run_pipeline(config: RunConfig) -> RunBundle:
@@ -391,4 +389,4 @@ def run_pipeline(config: RunConfig) -> RunBundle:
         "grid.csv",
         "run.json",
     )
-    return RunBundle(out_dir=out, files=files)
+    return RunBundle(out_dir=out, files=files, warnings=tuple(processed.warnings()))

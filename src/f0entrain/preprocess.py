@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from f0entrain.errors import ComputeError
-from f0entrain.quantiles import quantile
+from f0entrain.quantiles import quantiles
 from f0entrain.types import F0Track
 
 # Two-pass plausibility fences derived from the first-pass quartiles:
@@ -61,10 +61,8 @@ class OutlierResult(NamedTuple):
 
 def outlier_bounds(values: np.ndarray) -> tuple[float, float]:
     """Pass-1 plausibility bounds [0.75*q25, 1.5*q75] of the given values."""
-    return (
-        OUTLIER_FLOOR_FACTOR * quantile(values, 0.25),
-        OUTLIER_CEIL_FACTOR * quantile(values, 0.75),
-    )
+    q25, q75 = quantiles(values, (0.25, 0.75))
+    return OUTLIER_FLOOR_FACTOR * q25, OUTLIER_CEIL_FACTOR * q75
 
 
 def two_pass_outlier(track: F0Track, bounds: tuple[float, float] | None = None) -> OutlierResult:
@@ -126,7 +124,7 @@ def sg_smooth(track: F0Track, config: SmoothingConfig = SmoothingConfig()) -> F0
     y = track.values
     n = y.size
     half = config.window // 2
-    out = y.astype(np.float64).copy()
+    out = y.astype(np.float64)  # a new array
     if n >= config.window:
         weights = sg_coefficients(config.window, config.order)
         out[half : n - half] = np.convolve(y, weights, mode="valid")

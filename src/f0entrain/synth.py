@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Mapping
 
@@ -77,8 +78,16 @@ def _synthesize(durations: np.ndarray, mids: np.ndarray, rises: np.ndarray):
     return np.maximum(values, F0_FLOOR_HZ), boundaries
 
 
+@lru_cache(maxsize=None)
+def _time_fields(n: int) -> tuple[str, ...]:
+    """The text "t," that starts row i < n of an F0 CSV, with t = i * STEP_S."""
+    return tuple(map("%.6f,".__mod__, (np.arange(n) * STEP_S).tolist()))
+
+
 def _write_f0(path: Path, values: np.ndarray) -> None:
-    rows = "\n".join(f"{i * STEP_S:.6f},{v:.6f}" for i, v in enumerate(values))
+    # a power-of-two row count keeps the cache to a few entries
+    times = _time_fields(1 << len(values).bit_length())
+    rows = "\n".join(map("%s%.6f".__mod__, zip(times, values.tolist())))
     path.write_text("time_s,f0_hz\n" + rows + "\n")
 
 
@@ -171,6 +180,14 @@ def gen_corpus(config: SynthConfig, out_dir: str | Path) -> Path:
     return manifest_path
 
 
+def check_score_options(coupling: float, noise: float) -> None:
+    """Raise ValueError unless ``gen_scores`` accepts this coupling and noise."""
+    if not -1.0 <= coupling <= 1.0:
+        raise ValueError(f"coupling must be in [-1, 1], got {coupling}")
+    if noise < 0:
+        raise ValueError(f"noise must be >= 0, got {noise}")
+
+
 def gen_scores(
     e_raw_by_speaker: Mapping[str, float],
     coupling: float,
@@ -188,10 +205,7 @@ def gen_scores(
     deterministic affine function of entrainment (constant when
     ``coupling = 0``), which exercises the degenerate correlation paths.
     """
-    if not -1.0 <= coupling <= 1.0:
-        raise ValueError(f"coupling must be in [-1, 1], got {coupling}")
-    if noise < 0:
-        raise ValueError(f"noise must be >= 0, got {noise}")
+    check_score_options(coupling, noise)
     speakers = sorted(e_raw_by_speaker)
     x = np.array([e_raw_by_speaker[s] for s in speakers], dtype=np.float64)
     sd = x.std()

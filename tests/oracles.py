@@ -5,7 +5,10 @@ DTW is checked by exhaustive path enumeration, Savitzky-Golay weights by
 per-impulse polynomial fits, quantiles against numpy's reference
 implementation, the linear fit against the closed-form OLS solution, and
 the ICC decomposition against a direct sums-of-squares calculation with
-scipy distributions.
+scipy distributions. The F0 CSV loader and the per-word features are
+checked bit for bit against their plain forms: a parser that reads one
+line at a time, and features that sort every sample set they take a
+quantile of.
 """
 
 from __future__ import annotations
@@ -103,3 +106,115 @@ def anova_two_way(x: np.ndarray) -> dict[str, float]:
         "df_rows": n - 1,
         "df_err": (n - 1) * (k - 1),
     }
+
+
+# ---------------------------------------------------------------------------
+# reference implementations of the fast paths in ingest and features: the
+# straightforward per-line F0 parser and the sort-based per-word features
+
+
+def load_f0_csv_by_lines(path):
+    """F0 CSV loader that parses every line on its own.
+
+    Returns the F0Track or raises the loader's exception with the loader's
+    message.
+    """
+    from pathlib import Path
+
+    from f0entrain.errors import ParseError, ValidationError
+    from f0entrain.types import F0Track
+
+    path = Path(path)
+    lines = path.read_text().splitlines()
+    if not lines or not lines[0].strip():
+        raise ParseError(f"{path}: empty F0 file")
+    header = lines[0].strip()
+    if header != "time_s,f0_hz":
+        raise ParseError(f"{path}: expected header 'time_s,f0_hz', got {header!r}")
+    time_fields, f0_fields = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        line = line.strip()
+        if not line:
+            continue
+        if line.count(",") != 1:
+            raise ParseError(f"{path}:{lineno}: expected two fields")
+        comma = line.index(",")
+        time_fields.append(line[:comma])
+        f0_fields.append(line[comma + 1 :].strip() or "0")
+    try:
+        times = np.asarray(time_fields, dtype=np.float64)
+        values = np.asarray(f0_fields, dtype=np.float64)
+    except ValueError as exc:
+        raise ParseError(f"{path}: non-numeric field ({exc})") from exc
+    if times.size == 0:
+        raise ParseError(f"{path}: no samples")
+    if times.size < 2:
+        raise ParseError(f"{path}: at least two rows are needed to infer the step")
+    if np.any(values < 0):
+        row = int(np.flatnonzero(values < 0)[0])
+        raise ValidationError(f"{path}:{row + 2}: negative F0 ({values[row]})")
+    step = float(times[1] - times[0])
+    if step <= 0:
+        raise ValidationError(f"{path}: times must be strictly increasing")
+    t0 = float(times[0])
+    expected = t0 + step * np.arange(times.size)
+    off = np.abs(times - expected) > 1e-6
+    if off.any():
+        row = int(np.flatnonzero(off)[0])
+        raise ValidationError(
+            f"{path}: non-uniform step at row {row + 2} "
+            f"(expected t={expected[row]:.6f}, got {times[row]:.6f})"
+        )
+    return F0Track(start_time=t0, step=step, values=values, voiced=values > 0.0)
+
+
+def _type7(values, p):
+    x = np.sort(np.asarray(values, dtype=np.float64))
+    h = (x.size - 1) * p
+    lo = int(np.floor(h))
+    hi = min(lo + 1, x.size - 1)
+    return float(x[lo] + (h - lo) * (x[hi] - x[lo]))
+
+
+def word_features_by_sorting(y, step):
+    """(mean, median, slope, range, drop) of one word's samples ``y``.
+
+    Every quantile sorts its input, the fitted line included, and the
+    line is fitted with the centered dot products written out.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    n = y.size
+    t = np.arange(n, dtype=np.float64) / (n - 1)
+    t_centered = t - 0.5
+    slope = float(np.dot(t_centered, y - y.mean()) / np.dot(t_centered, t_centered))
+    intercept = float(y.mean() - slope * 0.5)
+    fitted = intercept + slope * (np.arange(n, dtype=np.float64) / (n - 1))
+    return (
+        float(y.mean()),
+        _type7(y, 0.5),
+        slope,
+        _type7(fitted, 0.95) - _type7(fitted, 0.05),
+        (float(fitted[-1]) - float(fitted[0])) / ((n - 1) * step),
+    )
+
+
+def parameterize_by_slicing(track, spans):
+    """Per-word feature tuples of a track, each word's samples cut out on their own.
+
+    A word keeps the samples with times in [start, end), with the same
+    1e-9-step slack as the loader's window. Returns (list of (span,
+    features), number of dropped words).
+    """
+    import math
+
+    words, dropped = [], 0
+    for span in spans:
+        rel_start = (span.start - track.start_time) / track.step
+        rel_end = (span.end - track.start_time) / track.step
+        i0 = max(0, math.ceil(rel_start - 1e-9 / track.step))
+        i1 = min(len(track), math.ceil(rel_end - 1e-9 / track.step))
+        if i1 - i0 < 2:
+            dropped += 1
+            continue
+        words.append((span, word_features_by_sorting(track.values[i0:i1], track.step)))
+    return words, dropped

@@ -152,6 +152,38 @@ def test_synth_with_scores_then_grid(tmp_path):
     assert keys == sorted(keys)
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--scores-coupling", "0.5"], "--scores-coupling needs --eps > 0"),
+        (["--eps", "0.5", "--scores-coupling", "2"], "synth: coupling must be in [-1, 1]"),
+        (["--eps", "0.5", "--scores-coupling", "0.5", "--scores-noise", "-1"],
+         "synth: noise must be >= 0"),
+        (["--utts", "0"], "synth: n_dyads and n_utterances must be >= 1"),
+    ],
+)
+def test_synth_refuses_bad_options_before_writing(tmp_path, options, message):
+    corpus_dir = tmp_path / "c"
+    res = run_cli("synth", "--dyads", 4, "--utts", 2, "--out", corpus_dir, *options)
+    assert res.returncode == 1
+    assert message in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not corpus_dir.exists()
+
+
+def test_untimed_words_reported_as_warning(tmp_path):
+    corpus_dir = tmp_path / "c"
+    assert main(["synth", "--dyads", "2", "--utts", "1", "--out", str(corpus_dir)]) == 0
+    align = corpus_dir / "align" / "S00_000_model.json"
+    doc = json.loads(align.read_text())
+    doc["segments"][0]["words"].append({"word": "uh"})
+    align.write_text(json.dumps(doc))
+    res = run_cli("features", "--manifest", corpus_dir / "manifest.json",
+                  "--out", tmp_path / "features.csv")
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == "warning: 1 word(s) without timestamps skipped\n"
+
+
 def test_stats_subcommands(corpus, tmp_path):
     assert main(["validate", "--manifest", str(corpus / "manifest.json"),
                  "--out", str(tmp_path)]) == 0
@@ -245,13 +277,12 @@ def test_norm_se_reports_extra_column(corpus, tmp_path):
     assert checked > 0
 
 
-def test_grid_row_formatting():
+def test_grid_row_formatting(tmp_path):
     cells = [GridCell("range", "fluency", -0.424, 0.0219, 29, True, True)]
-    out_path = Path("/tmp/_grid_fmt.csv")
+    out_path = tmp_path / "grid.csv"
     pipeline.write_grid_csv(cells, out_path)
     lines = out_path.read_text().splitlines()
     assert lines[1].startswith("range,fluency,-0.424,0.0219,29,true,true")
-    out_path.unlink()
 
 
 def test_empty_grid_header_only(tmp_path):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from f0entrain.errors import ComputeError
 from f0entrain.features import (
@@ -15,7 +15,7 @@ from f0entrain.quantiles import quantile
 from f0entrain.types import WordSpan
 
 from conftest import make_track
-from oracles import ols_line
+from oracles import ols_line, parameterize_by_slicing, word_features_by_sorting
 
 SPAN = WordSpan("w", 0.0, 10.0)  # generous span; slicing is tested elsewhere
 
@@ -136,6 +136,64 @@ def test_range_equals_slope_times_tn_percentile_span(segment):
     t_n = np.arange(n) / (n - 1)
     expected = abs(wf.slope) * (quantile(t_n, 0.95) - quantile(t_n, 0.05))
     assert wf.range == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(segments)
+def test_word_features_equal_sorting_reference(segment):
+    expected = word_features_by_sorting(segment.values, segment.step)
+    assert tuple(word_features(segment, SPAN)) == expected
+    assert linear_fit(segment)[1] == expected[2]
+
+
+@st.composite
+def tracks_with_spans(draw):
+    """A cleaned track and word spans over it: rising, falling, flat or tied values."""
+    n = draw(st.integers(min_value=2, max_value=60))
+    shape = draw(st.sampled_from(["any", "ties", "falling", "flat"]))
+    if shape == "any":
+        values = draw(st.lists(st.floats(min_value=-30, max_value=500), min_size=n, max_size=n))
+    elif shape == "ties":
+        values = draw(st.lists(st.sampled_from([100.0, 101.5, 103.0]), min_size=n, max_size=n))
+    elif shape == "falling":
+        top = draw(st.floats(min_value=100, max_value=300))
+        values = top - draw(st.floats(min_value=0.01, max_value=5)) * np.arange(n)
+    else:
+        values = np.full(n, draw(st.floats(min_value=50, max_value=500)))
+    start = draw(st.sampled_from([0.0, 0.13, 1.005]))
+    track = make_track(values, start=start, step=0.01)
+    # word boundaries in sample steps: on the grid or between samples,
+    # so words get 0, 1, 2, 3 or more samples
+    cuts = draw(
+        st.lists(
+            st.one_of(st.integers(-2, n + 2), st.floats(min_value=-2, max_value=n + 2)),
+            min_size=2,
+            max_size=12,
+        )
+    )
+    times = sorted({round(start + c * 0.01, 6) for c in cuts})
+    spans = [WordSpan(f"w{i}", a, b) for i, (a, b) in enumerate(zip(times, times[1:]))]
+    return track, spans
+
+
+# words of 2 and 3 samples, rising, falling and flat, then a dropped one-sample word
+SHORT_WORDS = (
+    make_track([100, 130, 130, 100, 120, 120, 100, 140, 110, 140, 120, 100, 90], step=0.01),
+    [WordSpan(f"w{i}", a, b) for i, (a, b) in enumerate(
+        [(0.0, 0.02), (0.02, 0.04), (0.04, 0.06), (0.06, 0.09), (0.09, 0.12), (0.12, 0.13)]
+    )],
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tracks_with_spans())
+@example(SHORT_WORDS)
+def test_parameterize_equals_per_word_reference(case):
+    track, spans = case
+    utt, dropped = parameterize_utterance(track, spans, "S", 0)
+    expected, expected_dropped = parameterize_by_slicing(track, spans)
+    assert dropped == expected_dropped
+    assert [(span, tuple(wf)) for span, wf in utt.words] == expected
 
 
 def test_semitone_conversion():

@@ -1,13 +1,16 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from f0entrain import ingest
 from f0entrain.errors import ComputeError, ParseError, ValidationError
 from f0entrain.types import WordSpan
 
 from conftest import make_track, minimal_manifest_doc, write_manifest_doc
+from oracles import load_f0_csv_by_lines
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +66,14 @@ def test_duplicate_pair_index_rejected(tmp_path):
     doc["utterances"][1]["model"] = "B"
     path = write_manifest_doc(doc, tmp_path)
     with pytest.raises(ValidationError, match="duplicates utterance index"):
+        ingest.load_manifest(path)
+
+
+def test_non_integer_index_names_file(tmp_path):
+    doc = minimal_manifest_doc()
+    doc["utterances"][1]["index"] = "first"
+    path = write_manifest_doc(doc, tmp_path)
+    with pytest.raises(ParseError, match=re.escape(f"{path}: utterances[1] has non-integer index")):
         ingest.load_manifest(path)
 
 
@@ -181,6 +192,19 @@ def test_empty_alignment_rejected(tmp_path):
         ingest.load_alignment(path)
 
 
+def test_segment_not_an_object_names_file(tmp_path):
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"segments": [5]}))
+    with pytest.raises(ParseError, match=re.escape(f"{path}: segments[0] must be an object")):
+        ingest.load_alignment(path)
+
+
+def test_non_numeric_word_time_names_file(tmp_path):
+    path = _write_align(tmp_path, [{"word": "the", "start": "soon", "end": 0.22}])
+    with pytest.raises(ParseError, match=re.escape(f"{path}: word 'the' has a non-numeric time")):
+        ingest.load_alignment(path)
+
+
 def test_alignment_round_trip(tmp_path):
     spans = [WordSpan("a", 0.0, 0.31), WordSpan("b", 0.31, 0.62)]
     path = tmp_path / "rt.json"
@@ -258,6 +282,59 @@ def test_f0_csv_round_trip(tmp_path, rng):
     path2 = tmp_path / "rt2.csv"
     ingest.write_f0_csv(reloaded, path2)
     assert path.read_text() == path2.read_text()
+
+
+VALID_F0 = st.one_of(
+    st.floats(min_value=50, max_value=500).map(lambda x: f"{x:.6f}"),
+    st.sampled_from(["", "0", "0.0", "-0", "180", "1e2", "2.5E+2", "+95.5", "1e999"]),
+)
+BAD_F0 = st.sampled_from(["-3", "abc", "1.2.3", "e5", "--1", "1e", ".", "nan", "inf", " 7"])
+
+
+@st.composite
+def f0_csv_texts(draw):
+    """F0 CSV text: half of it plainly formatted, the rest with irregularities mixed in."""
+    plain = draw(st.booleans())
+    t0 = draw(st.sampled_from([0.0, 0.13, 2.5]))
+    step = draw(st.sampled_from([0.01, 0.005]))
+    rows = []
+    for i in range(draw(st.integers(0, 12))):
+        irregular = not plain and draw(st.integers(0, 5)) == 0
+        row = "{t},{f}"
+        if irregular:
+            row = draw(st.sampled_from([" {t},{f}", "{t}, {f} ", "{t},{f},", "{t}", ",{f}", ""]))
+        f0 = draw(BAD_F0 if irregular and draw(st.booleans()) else VALID_F0)
+        rows.append(row.format(t=f"{t0 + i * step:.6f}", f=f0))
+    header, newline, end = "time_s,f0_hz", "\n", "\n"
+    if not plain:
+        header = draw(st.sampled_from([header] * 4 + [" time_s,f0_hz", "time,f0", ""]))
+        newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        end = draw(st.sampled_from([newline, ""]))
+    return header + newline + newline.join(rows) + end
+
+
+def _loaded(load, path):
+    """(start_time, step, value and voicing bytes), or the exception's class and message."""
+    try:
+        track = load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return track.start_time, track.step, track.values.tobytes(), track.voiced.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        f0_csv_texts(),
+        st.text(alphabet="0123456789.,eE+- \n\r\tx", max_size=60).map(
+            lambda body: "time_s,f0_hz\n" + body
+        ),
+    )
+)
+def test_f0_loader_matches_line_parser(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("f0") / "f.csv"
+    path.write_bytes(text.encode())
+    assert _loaded(ingest.load_f0_csv, path) == _loaded(load_f0_csv_by_lines, path)
 
 
 # ---------------------------------------------------------------------------
