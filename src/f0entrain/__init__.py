@@ -7,6 +7,13 @@ and evaluate the resulting entrainment measures with paired t-tests,
 Pearson correlations, and intraclass correlation coefficients.
 """
 
+import os
+
+# The program calls no threaded BLAS routine, but an idle OpenBLAS worker
+# spins on a second core while numpy is imported. Set before numpy loads;
+# a value the user gave is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from f0entrain.types import F0Track, WordSpan

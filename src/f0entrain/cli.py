@@ -17,7 +17,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from f0entrain import __version__, entrain, ingest, pipeline, stats, synth
+from f0entrain import __version__, ingest, pipeline, stats, synth
 from f0entrain.errors import ComputeError, DataError, ParseError
 from f0entrain.ingest import ALL_CRITERIA
 from f0entrain.preprocess import SmoothingConfig, clean_track
@@ -61,17 +61,14 @@ def _coerce(key: str, value):
         return int(value)
     if key in ("alpha", "trend", "semitone", "pitch_floor", "pitch_ceiling"):
         return float(value)
-    if key == "from_wav":
-        if isinstance(value, bool):
-            return value
+    if key == "from_wav":  # a run.json holds a JSON bool: str(True) is "True"
         return str(value).lower() in ("1", "true", "yes")
     return str(value)
 
 
-def _add_pipeline_args(parser: argparse.ArgumentParser, need_out: bool = True) -> None:
+def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--manifest", required=False, help="corpus manifest JSON")
-    if need_out:
-        parser.add_argument("--out", required=False, help="output path")
+    parser.add_argument("--out", required=False, help="output path")
     parser.add_argument("--config", help="key=value config file or a previous run.json")
     parser.add_argument("--scores", help="rater scores CSV")
     parser.add_argument("--window", type=int, help="smoothing window (odd, default 7)")
@@ -91,7 +88,7 @@ def _add_pipeline_args(parser: argparse.ArgumentParser, need_out: bool = True) -
     parser.add_argument("--grid-measure", choices=["e_opt", "e_raw"], dest="grid_measure")
 
 
-def build_run_config(args: argparse.Namespace, require_out: bool = True) -> RunConfig:
+def build_run_config(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
     if getattr(args, "config", None):
         values.update(load_config_file(args.config))
@@ -102,19 +99,12 @@ def build_run_config(args: argparse.Namespace, require_out: bool = True) -> RunC
     if values.get("manifest") is None:
         raise ParseError("a corpus manifest is required (--manifest or config file)")
     if values.get("out") is None:
-        if require_out:
-            raise ParseError("an output path is required (--out or config file)")
-        values["out"] = "."
+        raise ParseError("an output path is required (--out or config file)")
     return RunConfig(**values)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
-
-
-def _warn(messages) -> None:
-    for message in messages:
-        print(f"warning: {message}", file=sys.stderr)
 
 
 def cmd_synth(args) -> int:
@@ -143,12 +133,7 @@ def cmd_synth(args) -> int:
     print(f"wrote corpus: {manifest_path}")
     if args.scores_coupling is not None:
         run_config = RunConfig(manifest=str(manifest_path), out=args.out)
-        manifest = ingest.load_manifest(manifest_path)
-        processed = pipeline.process_corpus(manifest, run_config)
-        measurement = entrain.measure_corpus(
-            manifest, processed.contours, with_surrogates=False, with_normalization=False
-        )
-        table = measurement.e_raw_table()
+        table = pipeline.run_stages(run_config, {"dtw"}).measurement.e_raw_table()
         rows = synth.gen_scores(
             {spk: feats[args.scores_feature] for spk, feats in table.items()},
             coupling=args.scores_coupling,
@@ -169,64 +154,25 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def _processed(args, need_scores: bool = False):
-    config = build_run_config(args)
-    manifest = ingest.load_manifest(config.manifest)
-    processed = pipeline.process_corpus(manifest, config)
-    _warn(processed.warnings())
-    scores = ingest.load_scores(config.scores) if (need_scores and config.scores) else None
-    return config, manifest, processed, scores
+# Bundle files each corpus subcommand writes: one file goes at --out,
+# several go into the --out directory.
+PIPELINE_COMMANDS = {
+    "features": ("per-word F0 features for a whole corpus", ("features.csv",)),
+    "entrain": (
+        "DTW samples and per-speaker entrainment scores", ("dtw_samples.csv", "entrain.csv")
+    ),
+    "validate": ("partner vs. surrogate distances and t-tests", ("validate.csv", "ttest.csv")),
+    "dyads": ("inner-dyad entrainment asymmetry", ("dyads.csv",)),
+    "run": ("full pipeline, writes the report bundle", tuple(pipeline.BUNDLE)),
+}
 
 
-def cmd_features(args) -> int:
-    config, _, processed, _ = _processed(args)
-    pipeline.write_features_csv(processed, config.out)
-    return 0
-
-
-def _measure(args, with_surrogates: bool):
-    config, manifest, processed, _ = _processed(args)
-    measurement = entrain.measure_corpus(
-        manifest,
-        processed.contours,
-        surrogate_pool=config.surrogate_pool,
-        norm=config.norm,
-        norm_scope=config.norm_scope,
-        with_surrogates=with_surrogates,
-    )
-    return config, measurement
-
-
-def cmd_entrain(args) -> int:
-    config, measurement = _measure(args, with_surrogates=False)
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    pipeline.write_samples_csv(measurement, out / "dtw_samples.csv")
-    pipeline.write_speaker_csv(measurement, out / "entrain.csv", norm=config.norm)
-    return 0
-
-
-def cmd_validate(args) -> int:
-    config, measurement = _measure(args, with_surrogates=True)
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    pipeline.write_validate_csv(measurement, out / "validate.csv")
-    tests = pipeline.partner_other_ttests(measurement, alpha=config.alpha, trend=config.trend)
-    pipeline.write_ttest_csv(tests, out / "ttest.csv", alpha=config.alpha)
-    return 0
-
-
-def cmd_dyads(args) -> int:
-    config, measurement = _measure(args, with_surrogates=False)
-    pipeline.write_dyads_csv(measurement, config.out)
-    return 0
-
-
-def cmd_run(args) -> int:
-    config = build_run_config(args)
-    bundle = pipeline.run_pipeline(config)
-    _warn(bundle.warnings)
-    print(f"wrote bundle: {bundle.out_dir} ({', '.join(bundle.files)})")
+def cmd_pipeline(args) -> int:
+    bundle = pipeline.run_pipeline(build_run_config(args), args.files)
+    for message in bundle.warnings:
+        print(f"warning: {message}", file=sys.stderr)
+    if args.command == "run":
+        print(f"wrote bundle: {bundle.out} ({', '.join(bundle.files)})")
     return 0
 
 
@@ -238,6 +184,17 @@ def _read_csv_columns(path: str) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
+def _data_rows(path: str, *columns: str) -> list[dict]:
+    """Rows of a CSV file that has data rows and every named column."""
+    rows = _read_csv_columns(path)
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    for col in columns:
+        if col not in rows[0]:
+            raise ParseError(f"{path}: no column {col!r}")
+    return rows
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -246,16 +203,9 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_stats_ttest(args) -> int:
-    rows = _read_csv_columns(args.csv)
-    if not rows:
-        raise ParseError(f"{args.csv}: no data rows")
-    for col in (args.x, args.y):
-        if col not in rows[0]:
-            raise ParseError(f"{args.csv}: no column {col!r}")
+    rows = _data_rows(args.csv, args.x, args.y, *filter(None, [args.by]))
     groups: dict[str, list[dict]] = {}
     if args.by:
-        if args.by not in rows[0]:
-            raise ParseError(f"{args.csv}: no column {args.by!r}")
         for row in rows:
             groups.setdefault(row[args.by], []).append(row)
     else:
@@ -275,12 +225,7 @@ def cmd_stats_ttest(args) -> int:
 
 
 def cmd_stats_pearson(args) -> int:
-    rows = _read_csv_columns(args.csv)
-    if not rows:
-        raise ParseError(f"{args.csv}: no data rows")
-    for col in (args.x, args.y):
-        if col not in rows[0]:
-            raise ParseError(f"{args.csv}: no column {col!r}")
+    rows = _data_rows(args.csv, args.x, args.y)
     x = [float(r[args.x]) for r in rows]
     y = [float(r[args.y]) for r in rows]
     res = stats.pearson(x, y, alpha=args.alpha, trend=args.trend)
@@ -376,25 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=3)
     p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("features", help="per-word F0 features for a whole corpus")
-    _add_pipeline_args(p)
-    p.set_defaults(func=cmd_features)
-
-    p = sub.add_parser("entrain", help="DTW samples and per-speaker entrainment scores")
-    _add_pipeline_args(p)
-    p.set_defaults(func=cmd_entrain)
-
-    p = sub.add_parser("validate", help="partner vs. surrogate distances and t-tests")
-    _add_pipeline_args(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("dyads", help="inner-dyad entrainment asymmetry")
-    _add_pipeline_args(p)
-    p.set_defaults(func=cmd_dyads)
-
-    p = sub.add_parser("run", help="full pipeline, writes the report bundle")
-    _add_pipeline_args(p)
-    p.set_defaults(func=cmd_run)
+    for name, (help_text, files) in PIPELINE_COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        _add_pipeline_args(p)
+        p.set_defaults(func=cmd_pipeline, files=files)
 
     p = sub.add_parser("stats", help="statistics on intermediate CSVs")
     stats_sub = p.add_subparsers(dest="stats_command", required=True)

@@ -17,7 +17,7 @@ from all five per-utterance contours.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -42,29 +42,6 @@ class WordFeatures(NamedTuple):
 
     def value(self, feature: str) -> float:
         return getattr(self, feature)
-
-
-@dataclass(frozen=True)
-class ParamContour:
-    """One feature's per-word values for a single utterance, in word order."""
-
-    feature: str
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-        if v.size < 1 or not np.all(np.isfinite(v)):
-            raise ComputeError(f"{self.feature} contour must be non-empty and finite")
-
-    @classmethod
-    def _trusted(cls, feature: str, values: np.ndarray) -> "ParamContour":
-        """Construct without re-validating a non-empty, finite, read-only float64 array."""
-        contour = object.__new__(cls)
-        object.__setattr__(contour, "feature", feature)
-        object.__setattr__(contour, "values", values)
-        return contour
 
 
 @dataclass(frozen=True)
@@ -172,8 +149,8 @@ def parameterize_utterance(
     return UtteranceFeatures(speaker, utterance_index, tuple(words)), dropped
 
 
-def build_contours(utt: UtteranceFeatures) -> dict[str, ParamContour]:
-    """One contour per feature; the i-th value comes from the i-th retained word."""
+def build_contours(utt: UtteranceFeatures) -> dict[str, np.ndarray]:
+    """One read-only contour per feature; the i-th value comes from the i-th retained word."""
     if not utt.words:
         raise ComputeError(
             f"empty utterance: no retained words for speaker {utt.speaker!r} "
@@ -186,4 +163,4 @@ def build_contours(utt: UtteranceFeatures) -> dict[str, ParamContour]:
         name = FEATURE_NAMES[int(np.argmin(finite))]
         raise ComputeError(f"{name} contour must be non-empty and finite")
     table.flags.writeable = False
-    return {name: ParamContour._trusted(name, row) for name, row in zip(FEATURE_NAMES, table)}
+    return dict(zip(FEATURE_NAMES, table))

@@ -120,11 +120,19 @@ def _require(mapping: Mapping, key: str, context: str):
     return mapping[key]
 
 
+def _require_list(doc: Mapping, key: str, path: Path) -> list:
+    value = _require(doc, key, str(path))
+    if not isinstance(value, list):
+        raise ParseError(f"{path}: {key} must be a list")
+    return value
+
+
 def load_manifest(path: str | Path) -> CorpusManifest:
     """Load and validate a corpus manifest JSON file.
 
     Raises ParseError for malformed JSON/schema and ValidationError for
-    violated corpus invariants; messages name the offending record.
+    violated corpus invariants, such as one F0 file listed for two
+    renditions; messages name the file and the offending record.
     """
     path = Path(path)
     try:
@@ -137,12 +145,12 @@ def load_manifest(path: str | Path) -> CorpusManifest:
     root = path.parent
 
     speakers = []
-    for i, entry in enumerate(_require(doc, "speakers", str(path))):
+    for i, entry in enumerate(_require_list(doc, "speakers", path)):
         if not isinstance(entry, dict):
             raise ParseError(f"{path}: speakers[{i}] must be an object")
         speakers.append(
             Speaker(
-                id=str(_require(entry, "id", f"speakers[{i}]")),
+                id=str(_require(entry, "id", f"{path}: speakers[{i}]")),
                 sex=entry.get("sex"),
                 l1=entry.get("l1"),
             )
@@ -155,7 +163,7 @@ def load_manifest(path: str | Path) -> CorpusManifest:
 
     dyads: list[tuple[str, str]] = []
     seen_in_dyad: dict[str, int] = {}
-    for i, pair in enumerate(_require(doc, "dyads", str(path))):
+    for i, pair in enumerate(_require_list(doc, "dyads", path)):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ParseError(f"{path}: dyads[{i}] must be a pair")
         a, b = str(pair[0]), str(pair[1])
@@ -174,49 +182,58 @@ def load_manifest(path: str | Path) -> CorpusManifest:
     missing = sorted(known - set(seen_in_dyad))
     if missing:
         raise ValidationError(f"{path}: speaker(s) {missing} are not in any dyad")
-    dyad_of = {m: i for m, i in seen_in_dyad.items()}
 
     records: list[UtteranceRecord] = []
     seen_pair_index: set[tuple[str, str, int]] = set()
-    for i, entry in enumerate(_require(doc, "utterances", str(path))):
-        context = f"utterances[{i}]"
+    rendition_of: dict[str, tuple[str, int, str]] = {}
+    for i, entry in enumerate(_require_list(doc, "utterances", path)):
+        context = f"{path}: utterances[{i}]"
         if not isinstance(entry, dict):
-            raise ParseError(f"{path}: {context} must be an object")
+            raise ParseError(f"{context} must be an object")
         imitator = str(_require(entry, "imitator", context))
         model = str(_require(entry, "model", context))
         index = _require(entry, "index", context)
         try:
             index = int(index)
         except (TypeError, ValueError):
-            raise ParseError(f"{path}: {context} has non-integer index {index!r}") from None
+            raise ParseError(f"{context} has non-integer index {index!r}") from None
         if imitator not in known:
-            raise ValidationError(f"{path}: {context} references unknown speaker {imitator!r}")
+            raise ValidationError(f"{context} references unknown speaker {imitator!r}")
         if model not in known:
-            raise ValidationError(f"{path}: {context} references unknown speaker {model!r}")
+            raise ValidationError(f"{context} references unknown speaker {model!r}")
         if imitator == model:
-            raise ValidationError(f"{path}: {context} has imitator == model ({imitator!r})")
-        if dyad_of[imitator] != dyad_of[model]:
+            raise ValidationError(f"{context} has imitator == model ({imitator!r})")
+        if seen_in_dyad[imitator] != seen_in_dyad[model]:
             raise ValidationError(
-                f"{path}: {context} pairs {imitator!r} and {model!r} from different dyads"
+                f"{context} pairs {imitator!r} and {model!r} from different dyads"
             )
         key = (imitator, model, index)
         if key in seen_pair_index:
             raise ValidationError(
-                f"{path}: {context} duplicates utterance index {index} "
+                f"{context} duplicates utterance index {index} "
                 f"for pair ({imitator!r}, {model!r})"
             )
         seen_pair_index.add(key)
-        records.append(
-            UtteranceRecord(
-                index=index,
-                imitator=imitator,
-                model=model,
-                imitator_f0=str(root / _require(entry, "imitator_f0", context)),
-                model_f0=str(root / _require(entry, "model_f0", context)),
-                imitator_align=str(root / _require(entry, "imitator_align", context)),
-                model_align=str(root / _require(entry, "model_align", context)),
-            )
+        record = UtteranceRecord(
+            index=index,
+            imitator=imitator,
+            model=model,
+            imitator_f0=str(root / _require(entry, "imitator_f0", context)),
+            model_f0=str(root / _require(entry, "model_f0", context)),
+            imitator_align=str(root / _require(entry, "imitator_align", context)),
+            model_align=str(root / _require(entry, "model_align", context)),
         )
+        # each F0 file is one rendition: one (speaker, index, role) key
+        for f0, rendition in (
+            (record.imitator_f0, (imitator, index, "imitator")),
+            (record.model_f0, (model, index, "model")),
+        ):
+            first = rendition_of.setdefault(f0, rendition)
+            if first != rendition:
+                raise ValidationError(
+                    f"{path}: F0 file {f0} is listed as {first} and as {rendition}"
+                )
+        records.append(record)
 
     return CorpusManifest(tuple(speakers), tuple(dyads), tuple(records))
 

@@ -2,7 +2,9 @@
 
 Wires ingest -> (optional pitch estimation) -> preprocessing -> per-word
 features -> entrainment measures -> statistics, and writes the CSV/JSON
-bundle. Every stage runs in manifest order in one thread, so the output
+bundle. ``BUNDLE`` maps each bundle file to its writer and the stages it
+needs; ``run_pipeline`` runs only the stages of the files it is asked
+for. Every stage runs in manifest order in one thread, so the output
 bytes depend only on the corpus and the configuration.
 """
 
@@ -10,9 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -29,10 +31,9 @@ from f0entrain.ingest import CorpusManifest, ScoreTable
 from f0entrain.pitch import PitchConfig, estimate_f0, read_wav
 from f0entrain.preprocess import (
     SmoothingConfig,
+    clean_track,
     interpolate_unvoiced,
     outlier_bounds,
-    sg_smooth,
-    two_pass_outlier,
 )
 from f0entrain.types import F0Track
 
@@ -87,8 +88,6 @@ class Rendition:
 
 @dataclass
 class ProcessedCorpus:
-    manifest: CorpusManifest
-    renditions: list[Rendition]
     utterances: dict[tuple[str, int, str], UtteranceFeatures]
     contours: dict[tuple[str, int, str], dict[str, np.ndarray]]
     dropped_words: int = 0
@@ -102,19 +101,18 @@ class ProcessedCorpus:
 
 
 def collect_renditions(manifest: CorpusManifest) -> list[Rendition]:
-    """Unique renditions in manifest order (imitator before model)."""
-    seen: set[str] = set()
-    out: list[Rendition] = []
-    for rec in manifest.utterances:
-        for speaker, role, f0, align in (
-            (rec.imitator, ROLE_IMITATOR, rec.imitator_f0, rec.imitator_align),
-            (rec.model, ROLE_MODEL, rec.model_f0, rec.model_align),
-        ):
-            if f0 in seen:
-                continue
-            seen.add(f0)
-            out.append(Rendition(speaker, rec.index, role, f0, align))
-    return out
+    """Every rendition in manifest order, imitator before model.
+
+    ``ingest.load_manifest`` lists each F0 file for one rendition only.
+    """
+    return [
+        rendition
+        for rec in manifest.utterances
+        for rendition in (
+            Rendition(rec.imitator, rec.index, ROLE_IMITATOR, rec.imitator_f0, rec.imitator_align),
+            Rendition(rec.model, rec.index, ROLE_MODEL, rec.model_f0, rec.model_align),
+        )
+    ]
 
 
 def _load_track(rendition: Rendition, config: RunConfig) -> F0Track:
@@ -135,13 +133,13 @@ def process_corpus(manifest: CorpusManifest, config: RunConfig) -> ProcessedCorp
     renditions = collect_renditions(manifest)
     smoothing = SmoothingConfig(config.window, config.order)
 
-    tracks = [interpolate_unvoiced(_load_track(r, config)) for r in renditions]
+    tracks = [_load_track(r, config) for r in renditions]
 
     bounds: dict[str, tuple[float, float]] = {}
     if config.outlier_scope == "speaker":
         grouped: dict[str, list[np.ndarray]] = {}
         for r, t in zip(renditions, tracks):
-            grouped.setdefault(r.speaker, []).append(t.values)
+            grouped.setdefault(r.speaker, []).append(interpolate_unvoiced(t).values)
         bounds = {
             spk: outlier_bounds(np.concatenate(vals)) for spk, vals in grouped.items()
         }
@@ -150,22 +148,17 @@ def process_corpus(manifest: CorpusManifest, config: RunConfig) -> ProcessedCorp
     contours: dict[tuple[str, int, str], dict[str, np.ndarray]] = {}
     total_dropped = total_untimed = 0
     for r, track in zip(renditions, tracks):
-        track = two_pass_outlier(track, bounds=bounds.get(r.speaker)).track
-        track = sg_smooth(track, smoothing)
+        track = clean_track(track, smoothing, bounds.get(r.speaker))
         if config.semitone is not None:
             track = to_semitones(track, config.semitone)
         spans, untimed = ingest.load_alignment(r.align_path)
         utt, dropped = parameterize_utterance(track, spans, r.speaker, r.index)
         key = (r.speaker, r.index, r.role)
         utterances[key] = utt
-        contours[key] = {
-            name: contour.values for name, contour in build_contours(utt).items()
-        }
+        contours[key] = build_contours(utt)
         total_dropped += dropped
         total_untimed += untimed
-    return ProcessedCorpus(
-        manifest, renditions, utterances, contours, total_dropped, total_untimed
-    )
+    return ProcessedCorpus(utterances, contours, total_dropped, total_untimed)
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +184,7 @@ def _bool(b: bool) -> str:
 def write_features_csv(processed: ProcessedCorpus, path: str | Path) -> None:
     lines = ["speaker,utterance,word_index,word,start_s,end_s,mean,median,slope,range,drop"]
     row = "%s,%d,%d,%s" + ",%.6f" * 7
-    for r in processed.renditions:
-        utt = processed.utterances[(r.speaker, r.index, r.role)]
+    for utt in processed.utterances.values():  # in rendition order
         lines.extend(
             row % (utt.speaker, utt.utterance_index, word_index, span.text, span.start, span.end, *wf)
             for word_index, (span, wf) in enumerate(utt.words)
@@ -323,70 +315,105 @@ def corpus_checksum(manifest_path: str | Path, manifest: CorpusManifest) -> str:
 
 
 @dataclass(frozen=True)
-class RunBundle:
-    out_dir: Path
-    files: tuple[str, ...] = field(default=())
-    warnings: tuple[str, ...] = field(default=())
+class Stages:
+    """What one pass over a corpus computed; every bundle writer reads from it."""
+
+    config: RunConfig
+    manifest: CorpusManifest
+    processed: ProcessedCorpus
+    measurement: CorpusMeasurement | None = None
+    scores: ScoreTable | None = None
 
 
-def run_pipeline(config: RunConfig) -> RunBundle:
-    """Execute the full pipeline and write the report bundle."""
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
+def run_stages(config: RunConfig, needs: Collection[str]) -> Stages:
+    """Manifest -> scores -> process_corpus -> measure_corpus, as far as ``needs`` asks.
 
+    Features always run. ``needs`` may add "dtw" (real-pair distances and
+    ``e_raw``), "norm" (``e_opt``), "surrogates" (partner vs. other
+    distances) and "scores" (the rater table, when the config names one).
+    """
     manifest = ingest.load_manifest(config.manifest)
-    score_table: ScoreTable | None = None
-    if config.scores is not None:
+    score_table = None
+    if "scores" in needs and config.scores is not None:
         score_table = ingest.load_scores(config.scores)
-
     processed = process_corpus(manifest, config)
-    measurement = entrain.measure_corpus(
-        manifest,
-        processed.contours,
-        surrogate_pool=config.surrogate_pool,
-        norm=config.norm,
-        norm_scope=config.norm_scope,
-    )
-
-    write_features_csv(processed, out / "features.csv")
-    write_samples_csv(measurement, out / "dtw_samples.csv")
-    write_speaker_csv(measurement, out / "entrain.csv", norm=config.norm)
-    write_validate_csv(measurement, out / "validate.csv")
-    write_ttest_csv(
-        partner_other_ttests(measurement, alpha=config.alpha, trend=config.trend),
-        out / "ttest.csv",
-        alpha=config.alpha,
-    )
-    write_dyads_csv(measurement, out / "dyads.csv")
-
-    if score_table is not None:
-        table = (
-            measurement.e_opt_table()
-            if config.grid_measure == "e_opt"
-            else measurement.e_raw_table()
+    measurement = None
+    if "dtw" in needs:
+        measurement = entrain.measure_corpus(
+            manifest,
+            processed.contours,
+            surrogate_pool=config.surrogate_pool,
+            norm=config.norm,
+            norm_scope=config.norm_scope,
+            with_surrogates="surrogates" in needs,
+            with_normalization="norm" in needs,
         )
+    return Stages(config, manifest, processed, measurement, score_table)
+
+
+def _write_ttest(stages: Stages, path: Path) -> None:
+    config = stages.config
+    tests = partner_other_ttests(stages.measurement, alpha=config.alpha, trend=config.trend)
+    write_ttest_csv(tests, path, alpha=config.alpha)
+
+
+def _write_grid(stages: Stages, path: Path) -> None:
+    config, measurement, cells = stages.config, stages.measurement, []
+    if stages.scores is not None:
+        e_opt = config.grid_measure == "e_opt"
+        table = measurement.e_opt_table() if e_opt else measurement.e_raw_table()
         cells = stats.correlate_grid(
-            table, score_table.speaker_means(), alpha=config.alpha, trend=config.trend
+            table, stages.scores.speaker_means(), alpha=config.alpha, trend=config.trend
         )
-    else:
-        cells = []
-    write_grid_csv(cells, out / "grid.csv")
+    write_grid_csv(cells, path)
 
+
+def _write_run_json(stages: Stages, path: Path) -> None:
     run_doc = {
-        "config": config.recorded(),
-        "corpus_checksum": corpus_checksum(config.manifest, manifest),
+        "config": stages.config.recorded(),
+        "corpus_checksum": corpus_checksum(stages.config.manifest, stages.manifest),
         "version": __version__,
     }
-    (out / "run.json").write_text(json.dumps(run_doc, indent=1, sort_keys=True) + "\n")
+    path.write_text(json.dumps(run_doc, indent=1, sort_keys=True) + "\n")
 
-    files = (
-        "features.csv",
-        "dtw_samples.csv",
-        "entrain.csv",
-        "validate.csv",
-        "ttest.csv",
-        "dyads.csv",
-        "grid.csv",
-        "run.json",
-    )
-    return RunBundle(out_dir=out, files=files, warnings=tuple(processed.warnings()))
+
+# Bundle file -> (stages it needs beyond features, writer), in writing order.
+# The writers look each write_* function up by name at call time, so a
+# wrapper installed on the module (as perfbench's tracer does) sees the call.
+BUNDLE = {
+    "features.csv": ((), lambda s, path: write_features_csv(s.processed, path)),
+    "dtw_samples.csv": (("dtw",), lambda s, path: write_samples_csv(s.measurement, path)),
+    "entrain.csv": (
+        ("dtw", "norm"),
+        lambda s, path: write_speaker_csv(s.measurement, path, norm=s.config.norm),
+    ),
+    "validate.csv": (
+        ("dtw", "surrogates"), lambda s, path: write_validate_csv(s.measurement, path)
+    ),
+    "ttest.csv": (("dtw", "surrogates"), _write_ttest),
+    "dyads.csv": (("dtw",), lambda s, path: write_dyads_csv(s.measurement, path)),
+    "grid.csv": (("dtw", "norm", "scores"), _write_grid),
+    "run.json": ((), _write_run_json),
+}
+
+
+@dataclass(frozen=True)
+class RunBundle:
+    out: Path
+    files: tuple[str, ...]
+    warnings: tuple[str, ...]
+
+
+def run_pipeline(config: RunConfig, files: Sequence[str] = tuple(BUNDLE)) -> RunBundle:
+    """Run the stages that ``files`` need and write those bundle files.
+
+    A single file is written at ``config.out``; several go into the
+    ``config.out`` directory.
+    """
+    out = Path(config.out)
+    if len(files) > 1:
+        out.mkdir(parents=True, exist_ok=True)
+    stages = run_stages(config, {need for name in files for need in BUNDLE[name][0]})
+    for name in files:
+        BUNDLE[name][1](stages, out / name if len(files) > 1 else out)
+    return RunBundle(out, tuple(files), tuple(stages.processed.warnings()))

@@ -63,10 +63,6 @@ class F0Track:
         return int(self.values.size)
 
     @property
-    def times(self) -> np.ndarray:
-        return self.start_time + self.step * np.arange(len(self))
-
-    @property
     def duration(self) -> float:
         return len(self) * self.step
 
@@ -104,7 +100,3 @@ class WordSpan:
             raise ValidationError(
                 f"word {self.text!r}: end ({self.end}) must exceed start ({self.start})"
             )
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start

@@ -36,14 +36,12 @@ def criterion(num: int, description: str):
 
 def _measure(manifest_path, surrogates=True, normalization=True):
     config = pipeline.RunConfig(manifest=str(manifest_path), out=".")
-    manifest = ingest.load_manifest(manifest_path)
-    processed = pipeline.process_corpus(manifest, config)
-    return entrain.measure_corpus(
-        manifest,
-        processed.contours,
-        with_surrogates=surrogates,
-        with_normalization=normalization,
-    )
+    needs = {"dtw"}
+    if surrogates:
+        needs.add("surrogates")
+    if normalization:
+        needs.add("norm")
+    return pipeline.run_stages(config, needs).measurement
 
 
 def test_c01_dtw_oracle_equivalence():

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +12,7 @@ from f0entrain.cli import main
 from f0entrain.pitch import Wave, write_wav
 from f0entrain.stats import GridCell
 
-from conftest import run_cli
+from conftest import PACKAGE_ROOT, run_cli
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +101,41 @@ def test_invalid_manifest_exits_1(corpus, tmp_path):
     assert "self-dyad" in res.stderr
 
 
+@pytest.mark.parametrize("field", ["speakers", "dyads", "utterances"])
+def test_manifest_field_not_a_list_exits_1(corpus, tmp_path, field):
+    doc = json.loads((corpus / "manifest.json").read_text())
+    doc[field] = 5
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc))
+    res = run_cli("run", "--manifest", broken, "--out", tmp_path / "x")
+    assert res.returncode == 1
+    assert res.stderr == f"error: {broken}: {field} must be a list\n"
+
+
+def test_manifest_missing_field_names_file(corpus, tmp_path):
+    doc = json.loads((corpus / "manifest.json").read_text())
+    del doc["utterances"][0]["model_f0"]
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc))
+    res = run_cli("run", "--manifest", broken, "--out", tmp_path / "x")
+    assert res.returncode == 1
+    assert res.stderr == f"error: {broken}: utterances[0]: missing field 'model_f0'\n"
+
+
+@pytest.mark.parametrize("given, expected", [(None, "1"), ("3", "3")])
+def test_import_sets_openblas_threads_unless_given(given, expected):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    env["PYTHONPATH"] = PACKAGE_ROOT
+    res = subprocess.run(
+        [sys.executable, "-c", "import os, f0entrain; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        capture_output=True, text=True, env=env,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == f"{expected}\n"
+
+
 def test_preprocess_roundtrip(tmp_path):
     raw = tmp_path / "raw.csv"
     rows = ["time_s,f0_hz"]
@@ -132,6 +170,41 @@ def test_entrain_validate_dyads_standalone(corpus, tmp_path):
     assert len(ttest_lines) == 6
     assert main(["dyads", "--manifest", str(corpus / "manifest.json"),
                  "--out", str(tmp_path / "dyads.csv")]) == 0
+
+
+def test_standalone_outputs_equal_run_bundle(corpus, tmp_path):
+    manifest = str(corpus / "manifest.json")
+    bundle = tmp_path / "bundle"
+    assert main(["run", "--manifest", manifest, "--out", str(bundle)]) == 0
+    # one-file subcommands write at --out, the others into the --out directory
+    made = {}
+    for command, files in (
+        ("features", ["features.csv"]),
+        ("entrain", ["dtw_samples.csv", "entrain.csv"]),
+        ("validate", ["validate.csv", "ttest.csv"]),
+        ("dyads", ["dyads.csv"]),
+    ):
+        out = tmp_path / command
+        target = out / files[0] if len(files) == 1 else out
+        out.mkdir()
+        assert main([command, "--manifest", manifest, "--out", str(target)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(files)
+        made.update((name, (out / name).read_bytes()) for name in files)
+    assert len(made) == 6
+    for name, data in made.items():
+        assert data == (bundle / name).read_bytes(), name
+
+
+def test_subcommands_run_only_the_stages_they_need(tmp_path, capsys):
+    # perfect imitation: every distance is 0, so only e_opt's z-transform fails
+    corpus_dir = tmp_path / "c"
+    assert main(["synth", "--dyads", "4", "--utts", "2", "--out", str(corpus_dir)]) == 0
+    manifest = str(corpus_dir / "manifest.json")
+    for command in ("features", "dyads"):
+        assert main([command, "--manifest", manifest, "--out", str(tmp_path / command)]) == 0
+    assert main(["validate", "--manifest", manifest, "--out", str(tmp_path / "v")]) == 0
+    assert main(["entrain", "--manifest", manifest, "--out", str(tmp_path / "e")]) == 1
+    assert "zero variance" in capsys.readouterr().err
 
 
 def test_synth_with_scores_then_grid(tmp_path):

@@ -213,15 +213,16 @@ def test_contours_two_words():
     assert dropped == 0
     contours = build_contours(utt)
     assert set(contours) == set(FEATURE_NAMES)
-    assert np.allclose(contours["mean"].values, [110.0, 130.0])
-    assert np.allclose(contours["median"].values, [110.0, 130.0])
+    assert np.allclose(contours["mean"], [110.0, 130.0])
+    assert np.allclose(contours["median"], [110.0, 130.0])
+    assert not any(c.flags.writeable for c in contours.values())
 
 
 def test_contours_single_word():
     track = make_track(np.linspace(100, 120, 30), step=0.01)
     utt, _ = parameterize_utterance(track, [WordSpan("a", 0.0, 0.3)], "S", 0)
     contours = build_contours(utt)
-    assert all(len(c.values) == 1 for c in contours.values())
+    assert all(len(c) == 1 for c in contours.values())
 
 
 def test_short_word_dropped_consistently():
@@ -235,7 +236,7 @@ def test_short_word_dropped_consistently():
     assert dropped == 1
     assert [span.text for span, _ in utt.words] == ["a", "c"]
     contours = build_contours(utt)
-    lengths = {len(c.values) for c in contours.values()}
+    lengths = {len(c) for c in contours.values()}
     assert lengths == {2}
 
 

@@ -1,14 +1,23 @@
 """The report bundle is byte-identical to a committed golden bundle.
 
-``tests/golden/`` was made from a checkout root with
+Both golden bundles were made from a checkout root on one corpus,
 
     f0entrain synth --dyads 4 --utts 8 --eps 0.5 --seed 7 \\
         --scores-coupling 0.5 --out corpus
+
+``tests/golden/`` with the default options plus ``--norm se``:
+
     f0entrain run --manifest corpus/manifest.json --scores corpus/scores.csv \\
         --norm se --out report
 
-and copying ``report/*`` into ``tests/golden/``. The test repeats both
-commands in a temporary directory with the same relative paths, so
+and ``tests/golden_options/`` with every other non-default option:
+
+    f0entrain run --manifest corpus/manifest.json --scores corpus/scores.csv \\
+        --outlier-scope speaker --semitone 100 --surrogate-pool all \\
+        --norm-scope speaker --grid-measure e_raw --out report
+
+each by copying ``report/*`` into the golden directory. The test repeats
+the commands in a temporary directory with the same relative paths, so
 ``run.json`` (which records them) stays stable, and its
 ``corpus_checksum`` also pins synth's output bytes. Regenerating the
 golden files needs an entry in CHANGES.md that says which bytes moved
@@ -17,9 +26,19 @@ and why.
 
 from pathlib import Path
 
+import pytest
+
 from f0entrain.cli import main
 
-GOLDEN = Path(__file__).parent / "golden"
+HERE = Path(__file__).parent
+
+GOLDENS = {
+    "golden": ["--norm", "se"],
+    "golden_options": [
+        "--outlier-scope", "speaker", "--semitone", "100", "--surrogate-pool", "all",
+        "--norm-scope", "speaker", "--grid-measure", "e_raw",
+    ],
+}
 
 
 def first_difference(name: str, got: bytes, want: bytes) -> str:
@@ -34,7 +53,8 @@ def first_difference(name: str, got: bytes, want: bytes) -> str:
     return f"{name}: line endings or final newline differ"
 
 
-def test_run_bundle_matches_golden(tmp_path, monkeypatch):
+@pytest.mark.parametrize("golden", sorted(GOLDENS))
+def test_run_bundle_matches_golden(golden, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main([
         "synth", "--dyads", "4", "--utts", "8", "--eps", "0.5", "--seed", "7",
@@ -42,10 +62,10 @@ def test_run_bundle_matches_golden(tmp_path, monkeypatch):
     ]) == 0
     assert main([
         "run", "--manifest", "corpus/manifest.json", "--scores", "corpus/scores.csv",
-        "--norm", "se", "--out", "report",
+        *GOLDENS[golden], "--out", "report",
     ]) == 0
 
-    want = {p.name: p.read_bytes() for p in sorted(GOLDEN.iterdir())}
+    want = {p.name: p.read_bytes() for p in sorted((HERE / golden).iterdir())}
     got = {p.name: p.read_bytes() for p in sorted(Path("report").iterdir())}
     assert len(want) == 8
     assert set(got) == set(want)

@@ -77,6 +77,40 @@ def test_non_integer_index_names_file(tmp_path):
         ingest.load_manifest(path)
 
 
+@pytest.mark.parametrize("field", ["speakers", "dyads", "utterances"])
+def test_top_level_field_not_a_list_names_file(tmp_path, field):
+    doc = minimal_manifest_doc()
+    doc[field] = 5
+    path = write_manifest_doc(doc, tmp_path)
+    with pytest.raises(ParseError, match=re.escape(f"{path}: {field} must be a list")):
+        ingest.load_manifest(path)
+
+
+@pytest.mark.parametrize("field, context", [
+    ("model_f0", "utterances[0]"),
+    ("index", "utterances[0]"),
+    ("id", "speakers[0]"),
+])
+def test_missing_field_names_file(tmp_path, field, context):
+    doc = minimal_manifest_doc()
+    del (doc["speakers"] if context.startswith("speakers") else doc["utterances"])[0][field]
+    path = write_manifest_doc(doc, tmp_path)
+    with pytest.raises(ParseError, match=re.escape(f"{path}: {context}: missing field {field!r}")):
+        ingest.load_manifest(path)
+
+
+def test_f0_file_under_two_keys_rejected(tmp_path):
+    doc = minimal_manifest_doc()
+    doc["utterances"][1]["model_f0"] = doc["utterances"][0]["imitator_f0"]
+    path = write_manifest_doc(doc, tmp_path)
+    with pytest.raises(ValidationError) as info:
+        ingest.load_manifest(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}: ")
+    assert str(tmp_path / "f0/A_0.csv") in message
+    assert "('A', 0, 'imitator')" in message and "('A', 0, 'model')" in message
+
+
 def test_imitator_equals_model_rejected(tmp_path):
     doc = minimal_manifest_doc()
     doc["utterances"][0]["model"] = "A"

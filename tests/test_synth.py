@@ -1,18 +1,15 @@
 import numpy as np
 import pytest
 
-from f0entrain import entrain, ingest, pipeline
+from f0entrain import ingest, pipeline
 from f0entrain.errors import ComputeError
 from f0entrain.synth import SynthConfig, gen_corpus, gen_scores
 
 
 def _measure_raw(manifest_path):
     config = pipeline.RunConfig(manifest=str(manifest_path), out=".")
-    manifest = ingest.load_manifest(manifest_path)
-    processed = pipeline.process_corpus(manifest, config)
-    return manifest, entrain.measure_corpus(
-        manifest, processed.contours, with_surrogates=False, with_normalization=False
-    )
+    stages = pipeline.run_stages(config, {"dtw"})
+    return stages.manifest, stages.measurement
 
 
 def _tree_bytes(root):
