@@ -201,7 +201,11 @@ def other_distance(
             continue
         candidates.append(s.id)
     if not candidates:
-        raise ComputeError(f"empty surrogate pool for speaker {target!r} (pool={pool})")
+        if pool == "same-sex":
+            hint = "the corpus needs two same-sex dyads, or pass --surrogate-pool all"
+        else:
+            hint = "the corpus needs two dyads"
+        raise ComputeError(f"empty surrogate pool for speaker {target!r} (pool={pool}): {hint}")
 
     per_candidate = []
     for cand in candidates:

@@ -434,10 +434,10 @@ def load_f0_csv(path: str | Path) -> F0Track:
 
 def write_f0_csv(track: F0Track, path: str | Path) -> None:
     """Write a track in the F0 CSV format with six decimal digits."""
-    t0, step = track.start_time, track.step
+    times = track.start_time + np.arange(len(track)) * track.step
     rows = [
-        f"{t0 + i * step:.6f},{track.values[i]:.6f}" if track.voiced[i] else f"{t0 + i * step:.6f},"
-        for i in range(len(track))
+        "%.6f,%.6f" % (t, f0) if voiced else "%.6f," % t
+        for t, f0, voiced in zip(times.tolist(), track.values.tolist(), track.voiced.tolist())
     ]
     Path(path).write_text("time_s,f0_hz\n" + "\n".join(rows) + "\n")
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Collection, Iterable, Sequence
@@ -20,6 +21,7 @@ import numpy as np
 
 from f0entrain import __version__, entrain, ingest, stats
 from f0entrain.entrain import ROLE_IMITATOR, ROLE_MODEL, CorpusMeasurement
+from f0entrain.errors import ComputeError
 from f0entrain.features import (
     FEATURE_NAMES,
     UtteranceFeatures,
@@ -128,6 +130,18 @@ def _load_track(rendition: Rendition, config: RunConfig) -> F0Track:
     return ingest.load_f0_csv(path)
 
 
+@contextmanager
+def _naming_file(rendition: Rendition):
+    """Prefix a ComputeError raised on one rendition's track with its F0 file.
+
+    Under ``--from-wav`` that file is the WAV the track was estimated from.
+    """
+    try:
+        yield
+    except ComputeError as exc:
+        raise ComputeError(f"{rendition.f0_path}: {exc}") from exc
+
+
 def process_corpus(manifest: CorpusManifest, config: RunConfig) -> ProcessedCorpus:
     """Load, clean, and parameterize every rendition of the corpus."""
     renditions = collect_renditions(manifest)
@@ -139,7 +153,8 @@ def process_corpus(manifest: CorpusManifest, config: RunConfig) -> ProcessedCorp
     if config.outlier_scope == "speaker":
         grouped: dict[str, list[np.ndarray]] = {}
         for r, t in zip(renditions, tracks):
-            grouped.setdefault(r.speaker, []).append(interpolate_unvoiced(t).values)
+            with _naming_file(r):
+                grouped.setdefault(r.speaker, []).append(interpolate_unvoiced(t).values)
         bounds = {
             spk: outlier_bounds(np.concatenate(vals)) for spk, vals in grouped.items()
         }
@@ -148,7 +163,8 @@ def process_corpus(manifest: CorpusManifest, config: RunConfig) -> ProcessedCorp
     contours: dict[tuple[str, int, str], dict[str, np.ndarray]] = {}
     total_dropped = total_untimed = 0
     for r, track in zip(renditions, tracks):
-        track = clean_track(track, smoothing, bounds.get(r.speaker))
+        with _naming_file(r):
+            track = clean_track(track, smoothing, bounds.get(r.speaker))
         if config.semitone is not None:
             track = to_semitones(track, config.semitone)
         spans, untimed = ingest.load_alignment(r.align_path)

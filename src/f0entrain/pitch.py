@@ -29,6 +29,11 @@ OCTAVE_COST = 0.01
 # fraction of the whole file's RMS.
 RMS_GATE = 0.01
 
+# Frames analysed together, with one batched rfft and irfft per block. The
+# result does not depend on it. Blocks of 8, 16 and 32 frames ran equally
+# fast within noise and 64 slower; a larger block holds more spectra.
+BLOCK_FRAMES = 16
+
 
 @dataclass(frozen=True)
 class Wave:
@@ -100,23 +105,56 @@ def write_wav(wave: Wave, path: str | Path) -> None:
         fh.writeframes(pcm.tobytes())
 
 
-def _frame_candidates(acf_ratio: np.ndarray, lag_min: int, lag_max: int):
-    """Local autocorrelation peaks in [lag_min, lag_max], parabolic-refined.
+def _autocorrelation(rows: np.ndarray, fft_len: int, n_lags: int) -> np.ndarray:
+    """Autocorrelation of each row at lags 0 .. n_lags - 1, through the FFT.
 
-    Yields (refined_lag, peak_value) pairs.
+    The spectra live only inside this call, so a block's large arrays are
+    freed before the next block allocates its own.
     """
-    for lag in range(lag_min, lag_max + 1):
-        r0, r1, r2 = acf_ratio[lag - 1], acf_ratio[lag], acf_ratio[lag + 1]
-        if not (r1 > r0 and r1 >= r2):
-            continue
-        denom = r0 - 2.0 * r1 + r2
-        if denom >= 0.0:  # flat or degenerate; keep the integer peak
-            yield float(lag), float(r1)
-            continue
-        delta = 0.5 * (r0 - r2) / denom
-        delta = max(-0.5, min(0.5, delta))
-        value = r1 - 0.25 * (r0 - r2) * delta
-        yield lag + delta, float(value)
+    spec = np.fft.rfft(rows, fft_len, axis=1)
+    for row in spec:
+        # one row at a time: the product over a 2-D block differs in the last bit
+        np.multiply(row, np.conj(row), out=row)
+    return np.fft.irfft(spec, fft_len, axis=1)[:, :n_lags].copy()
+
+
+def _best_peaks(
+    acf_ratio: np.ndarray, lag_min: int, lag_max: int, fs: float, config: PitchConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``acf_ratio`` that are voiced, and the F0 of each.
+
+    A row's candidates are its local peaks at lags in [lag_min, lag_max],
+    each refined by a parabola through it and its neighbours (a flat or
+    degenerate one keeps its integer lag). The strongest after the octave
+    cost wins; of equal ones the shortest lag, as a strict ">" scanning the
+    lags upward keeps it. The row is voiced if the winner's peak value
+    reaches the voicing threshold.
+    """
+    r0 = acf_ratio[:, lag_min - 1 : lag_max]
+    r1 = acf_ratio[:, lag_min : lag_max + 1]
+    r2 = acf_ratio[:, lag_min + 1 : lag_max + 2]
+    row, col = np.nonzero((r1 > r0) & (r1 >= r2))
+    lag = col + lag_min
+    r0, r1, r2 = acf_ratio[row, lag - 1], acf_ratio[row, lag], acf_ratio[row, lag + 1]
+    denom = r0 - 2.0 * r1 + r2
+    refine = ~(denom >= 0.0)
+    delta = 0.5 * (r0 - r2) / np.where(refine, denom, -1.0)
+    # Python's max(-0.5, min(0.5, delta)), which also sends NaN to 0.5
+    delta = np.where(delta < 0.5, delta, 0.5)
+    delta = np.where(delta > -0.5, delta, -0.5)
+    value = np.where(refine, r1 - 0.25 * (r0 - r2) * delta, r1)
+    lag = np.where(refine, lag + delta, lag)
+    # math.log2, not np.log2: the two differ in the last bit for about one
+    # value in a thousand, enough to flip a near tie
+    octave = np.array([math.log2(v) for v in (lag / fs * config.floor).tolist()])
+    strength = value - OCTAVE_COST * octave
+    strength[np.isnan(strength)] = -np.inf  # NaN never wins a ">"
+
+    # the first peak per row after a stable sort by row, strength descending
+    order = np.lexsort((-strength, row))
+    best = order[np.diff(row[order], prepend=-1) != 0]
+    best = best[(strength[best] > -np.inf) & (value[best] >= config.voicing_threshold)]
+    return row[best], fs / lag[best]
 
 
 def estimate_f0(wave: Wave, config: PitchConfig = PitchConfig()) -> F0Track:
@@ -125,6 +163,8 @@ def estimate_f0(wave: Wave, config: PitchConfig = PitchConfig()) -> F0Track:
     A frame is voiced iff its best autocorrelation peak reaches the voicing
     threshold and its RMS passes the relative gate; everything is
     normalized, so the result is invariant to rescaling the waveform.
+    Frames are analysed ``BLOCK_FRAMES`` at a time; the result is the same
+    as analysing each frame on its own.
     """
     config.validate(wave.sample_rate)
     fs = wave.sample_rate
@@ -144,40 +184,34 @@ def estimate_f0(wave: Wave, config: PitchConfig = PitchConfig()) -> F0Track:
     window = np.hanning(frame_len)
 
     fft_len = 1 << int(math.ceil(math.log2(2 * frame_len)))
-    win_spec = np.fft.rfft(window, fft_len)
-    acf_win = np.fft.irfft(win_spec * np.conj(win_spec), fft_len)[: lag_max + 2]
+    acf_win = _autocorrelation(window[None, :], fft_len, lag_max + 2)[0]
     acf_win = acf_win / acf_win[0]
 
     global_ms = float(np.mean(x * x))
     values = np.zeros(n_frames)
     voiced = np.zeros(n_frames, dtype=bool)
 
-    for i in range(n_frames):
-        start = int(round(i * config.time_step * fs))
-        frame = x[start : start + frame_len]
-        frame_ms = float(np.mean(frame * frame))
-        if global_ms <= 0.0 or frame_ms < (RMS_GATE**2) * global_ms:
-            continue
-        windowed = (frame - frame.mean()) * window
-        energy = float(np.dot(windowed, windowed))
-        if energy <= 0.0:
-            continue
-        spec = np.fft.rfft(windowed, fft_len)
-        acf = np.fft.irfft(spec * np.conj(spec), fft_len)[: lag_max + 2]
-        acf_ratio = (acf / energy) / acf_win
+    frames = np.lib.stride_tricks.sliding_window_view(x, frame_len)
+    for b0 in range(0, n_frames, BLOCK_FRAMES):
+        starts = range(b0, min(b0 + BLOCK_FRAMES, n_frames))
+        block = frames[[int(round(i * config.time_step * fs)) for i in starts]]
 
-        best_f0 = 0.0
-        best_strength = -np.inf
-        best_value = 0.0
-        for lag, value in _frame_candidates(acf_ratio, lag_min, lag_max):
-            strength = value - OCTAVE_COST * math.log2(lag / fs * config.floor)
-            if strength > best_strength:
-                best_strength = strength
-                best_value = value
-                best_f0 = fs / lag
-        if best_value >= config.voicing_threshold:
-            values[i] = best_f0
-            voiced[i] = True
+        # A frame is skipped if its RMS fails the gate or its energy is not
+        # positive; NaN fails neither test. A reduction along axis 1 sums
+        # each contiguous row as a 1-D reduction would, but the energy's
+        # np.dot stays per row: a batched product may sum in another order.
+        frame_ms = np.mean(block * block, axis=1)
+        windowed = (block - block.mean(axis=1, keepdims=True)) * window
+        energy = np.array([np.dot(w, w) for w in windowed])
+        live = ~(frame_ms < (RMS_GATE**2) * global_ms) & ~(energy <= 0.0)
+        if global_ms <= 0.0 or not live.any():
+            continue
+        acf = _autocorrelation(windowed[live], fft_len, lag_max + 2)
+        acf_ratio = (acf / energy[live][:, None]) / acf_win
+        row, f0 = _best_peaks(acf_ratio, lag_min, lag_max, fs, config)
+        rows = np.flatnonzero(live)[row] + b0
+        values[rows] = f0
+        voiced[rows] = True
 
     return F0Track(
         start_time=frame_len / (2.0 * fs),

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import wave
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,41 @@ def run_cli(*args, cwd=None, env_extra=None):
         env=env,
         cwd=cwd,
     )
+
+
+WAV_RATE = 16000
+WAV_AMPLITUDE = 0.4
+
+
+def render_wavs(corpus: Path) -> None:
+    """Render every F0 track of a synth corpus as a 16 kHz sine.
+
+    Writes ``wav/<name>.wav`` per ``f0/<name>.csv`` and ``manifest_wav.json``
+    pointing at them; unvoiced samples become silence. The same rendering
+    as the benchmark's ``perfbench/wavs.py``, kept here so the suite does
+    not depend on the benchmark.
+    """
+    (corpus / "wav").mkdir()
+    for csv_path in sorted((corpus / "f0").glob("*.csv")):
+        data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+        times, f0 = data[:, 0], data[:, 1]
+        step = times[1] - times[0]
+        n = int(round((times[-1] + step) * WAV_RATE))
+        t = np.arange(n) / WAV_RATE
+        inst = np.interp(t, times, f0)
+        phase = 2.0 * np.pi * np.cumsum(inst) / WAV_RATE
+        signal = np.where(inst > 0.0, WAV_AMPLITUDE * np.sin(phase), 0.0)
+        pcm = np.round(signal * 32767.0).astype("<i2")
+        with wave.open(str(corpus / "wav" / (csv_path.stem + ".wav")), "wb") as fh:
+            fh.setnchannels(1)
+            fh.setsampwidth(2)
+            fh.setframerate(WAV_RATE)
+            fh.writeframes(pcm.tobytes())
+    doc = json.loads((corpus / "manifest.json").read_text())
+    for rec in doc["utterances"]:
+        for key in ("imitator_f0", "model_f0"):
+            rec[key] = "wav/" + Path(rec[key]).stem + ".wav"
+    (corpus / "manifest_wav.json").write_text(json.dumps(doc, indent=1, sort_keys=True))
 
 
 def make_track(values, voiced=None, start=0.0, step=0.01) -> F0Track:

@@ -5,10 +5,11 @@ DTW is checked by exhaustive path enumeration, Savitzky-Golay weights by
 per-impulse polynomial fits, quantiles against numpy's reference
 implementation, the linear fit against the closed-form OLS solution, and
 the ICC decomposition against a direct sums-of-squares calculation with
-scipy distributions. The F0 CSV loader and the per-word features are
-checked bit for bit against their plain forms: a parser that reads one
-line at a time, and features that sort every sample set they take a
-quantile of.
+scipy distributions. The F0 CSV loader and writer, the per-word features
+and the pitch tracker are checked bit for bit against their plain forms: a
+parser that reads one line at a time, a writer that formats one row at a
+time, features that sort every sample set they take a quantile of, and a
+tracker that analyses one frame at a time.
 """
 
 from __future__ import annotations
@@ -218,3 +219,115 @@ def parameterize_by_slicing(track, spans):
             continue
         words.append((span, word_features_by_sorting(track.values[i0:i1], track.step)))
     return words, dropped
+
+
+# ---------------------------------------------------------------------------
+# reference implementations of the pitch tracker and the F0 CSV writer: one
+# frame at a time with its own FFTs and a candidate generator, and one
+# formatted row at a time
+
+
+def _frame_candidates(acf_ratio, lag_min, lag_max):
+    """Local autocorrelation peaks in [lag_min, lag_max], parabolic-refined.
+
+    Yields (refined_lag, peak_value) pairs.
+    """
+    for lag in range(lag_min, lag_max + 1):
+        r0, r1, r2 = acf_ratio[lag - 1], acf_ratio[lag], acf_ratio[lag + 1]
+        if not (r1 > r0 and r1 >= r2):
+            continue
+        denom = r0 - 2.0 * r1 + r2
+        if denom >= 0.0:  # flat or degenerate; keep the integer peak
+            yield float(lag), float(r1)
+            continue
+        delta = 0.5 * (r0 - r2) / denom
+        delta = max(-0.5, min(0.5, delta))
+        value = r1 - 0.25 * (r0 - r2) * delta
+        yield lag + delta, float(value)
+
+
+def estimate_f0_by_frames(wave, config=None):
+    """``pitch.estimate_f0`` computed one frame at a time.
+
+    Each 10 ms frame gets its own RMS gate, two 1-D FFTs and a Python scan
+    over every lag in the search range; the best candidate is kept with a
+    strict ``>``, so the first of equal strengths wins.
+    """
+    import math
+
+    from f0entrain.errors import ComputeError, ValidationError
+    from f0entrain.pitch import OCTAVE_COST, RMS_GATE, PitchConfig
+    from f0entrain.types import F0Track
+
+    config = PitchConfig() if config is None else config
+    config.validate(wave.sample_rate)
+    fs = wave.sample_rate
+    x = wave.samples
+    frame_len = int(round(config.window * fs))
+    if frame_len < 8 or x.size < frame_len:
+        raise ComputeError(
+            f"wave too short: {x.size} samples < one {config.window}s analysis window"
+        )
+
+    lag_min = max(2, math.ceil(fs / config.ceiling))
+    lag_max = min(frame_len - 2, math.floor(fs / config.floor))
+    if lag_max <= lag_min:
+        raise ValidationError("pitch search range is empty for this window/rate")
+
+    n_frames = int(math.floor((x.size - frame_len) / (config.time_step * fs))) + 1
+    window = np.hanning(frame_len)
+
+    fft_len = 1 << int(math.ceil(math.log2(2 * frame_len)))
+    win_spec = np.fft.rfft(window, fft_len)
+    acf_win = np.fft.irfft(win_spec * np.conj(win_spec), fft_len)[: lag_max + 2]
+    acf_win = acf_win / acf_win[0]
+
+    global_ms = float(np.mean(x * x))
+    values = np.zeros(n_frames)
+    voiced = np.zeros(n_frames, dtype=bool)
+
+    for i in range(n_frames):
+        start = int(round(i * config.time_step * fs))
+        frame = x[start : start + frame_len]
+        frame_ms = float(np.mean(frame * frame))
+        if global_ms <= 0.0 or frame_ms < (RMS_GATE**2) * global_ms:
+            continue
+        windowed = (frame - frame.mean()) * window
+        energy = float(np.dot(windowed, windowed))
+        if energy <= 0.0:
+            continue
+        spec = np.fft.rfft(windowed, fft_len)
+        acf = np.fft.irfft(spec * np.conj(spec), fft_len)[: lag_max + 2]
+        acf_ratio = (acf / energy) / acf_win
+
+        best_f0 = 0.0
+        best_strength = -np.inf
+        best_value = 0.0
+        for lag, value in _frame_candidates(acf_ratio, lag_min, lag_max):
+            strength = value - OCTAVE_COST * math.log2(lag / fs * config.floor)
+            if strength > best_strength:
+                best_strength = strength
+                best_value = value
+                best_f0 = fs / lag
+        if best_value >= config.voicing_threshold:
+            values[i] = best_f0
+            voiced[i] = True
+
+    return F0Track(
+        start_time=frame_len / (2.0 * fs),
+        step=config.time_step,
+        values=values,
+        voiced=voiced,
+    )
+
+
+def write_f0_csv_by_rows(track, path):
+    """``ingest.write_f0_csv`` with one f-string per row."""
+    from pathlib import Path
+
+    t0, step = track.start_time, track.step
+    rows = [
+        f"{t0 + i * step:.6f},{track.values[i]:.6f}" if track.voiced[i] else f"{t0 + i * step:.6f},"
+        for i in range(len(track))
+    ]
+    Path(path).write_text("time_s,f0_hz\n" + "\n".join(rows) + "\n")

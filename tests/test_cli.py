@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ from f0entrain.cli import main
 from f0entrain.pitch import Wave, write_wav
 from f0entrain.stats import GridCell
 
-from conftest import PACKAGE_ROOT, run_cli
+from conftest import PACKAGE_ROOT, render_wavs, run_cli
 
 
 @pytest.fixture(scope="module")
@@ -421,3 +422,51 @@ def test_from_wav_pipeline(tmp_path):
     first = _bundle_bytes(out)
     assert main(["run", "--manifest", str(manifest), "--out", str(out), "--from-wav"]) == 0
     assert _bundle_bytes(out) == first
+
+
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    """Four dyads with two texts each, from F0 CSVs and as 16 kHz WAVs."""
+    root = tmp_path_factory.mktemp("small")
+    synth.gen_corpus(synth.SynthConfig(n_dyads=4, n_utterances=2, noise_eps=0.5, seed=7), root)
+    render_wavs(root)
+    return root
+
+
+@pytest.mark.parametrize("scope", ["utterance", "speaker"])
+def test_all_unvoiced_csv_track_names_its_file(small_corpus, tmp_path, capsys, scope):
+    corpus_dir = shutil.copytree(small_corpus, tmp_path / "c")
+    f0 = corpus_dir / "f0" / "S02_001_imit.csv"
+    rows = f0.read_text().splitlines()
+    f0.write_text("\n".join([rows[0]] + [r.split(",")[0] + "," for r in rows[1:]]) + "\n")
+    code = main(["run", "--manifest", str(corpus_dir / "manifest.json"),
+                 "--outlier-scope", scope, "--out", str(tmp_path / "r")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {f0}: cannot interpolate an all-unvoiced track\n"
+    )
+
+
+def test_silent_wav_names_its_file(small_corpus, tmp_path, capsys):
+    corpus_dir = shutil.copytree(small_corpus, tmp_path / "c")
+    wav = corpus_dir / "wav" / "S05_000_model.wav"
+    write_wav(Wave(16000, np.zeros(16000)), wav)
+    code = main(["run", "--manifest", str(corpus_dir / "manifest_wav.json"),
+                 "--from-wav", "--out", str(tmp_path / "r")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {wav}: cannot interpolate an all-unvoiced track\n"
+    )
+
+
+def test_empty_surrogate_pool_suggests_remedy(tmp_path, capsys):
+    # synth's two dyads are one female and one male pair
+    corpus_dir = tmp_path / "c"
+    assert main(["synth", "--dyads", "2", "--utts", "4", "--eps", "0.5",
+                 "--out", str(corpus_dir)]) == 0
+    capsys.readouterr()
+    assert main(["run", "--manifest", str(corpus_dir / "manifest.json"),
+                 "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert "empty surrogate pool for speaker" in err
+    assert "the corpus needs two same-sex dyads, or pass --surrogate-pool all" in err

@@ -1,6 +1,7 @@
 """The report bundle is byte-identical to a committed golden bundle.
 
-Both golden bundles were made from a checkout root on one corpus,
+The two CSV-input golden bundles were made from a checkout root on one
+corpus,
 
     f0entrain synth --dyads 4 --utts 8 --eps 0.5 --seed 7 \\
         --scores-coupling 0.5 --out corpus
@@ -16,12 +17,25 @@ and ``tests/golden_options/`` with every other non-default option:
         --outlier-scope speaker --semitone 100 --surrogate-pool all \\
         --norm-scope speaker --grid-measure e_raw --out report
 
-each by copying ``report/*`` into the golden directory. The test repeats
-the commands in a temporary directory with the same relative paths, so
+``tests/golden_wav/`` pins the pitch tracker. Its corpus has two texts per
+dyad (four dyads is the smallest synth shape with a same-sex surrogate
+for every speaker),
+
+    f0entrain synth --dyads 4 --utts 2 --eps 0.5 --seed 7 \\
+        --scores-coupling 0.5 --out corpus
+
+whose F0 tracks ``conftest.render_wavs`` turns into 16 kHz sine WAVs and
+``corpus/manifest_wav.json``; then
+
+    f0entrain run --manifest corpus/manifest_wav.json --scores corpus/scores.csv \\
+        --from-wav --out report
+
+Each golden directory is a copy of ``report/*``. The test repeats the
+commands in a temporary directory with the same relative paths, so
 ``run.json`` (which records them) stays stable, and its
-``corpus_checksum`` also pins synth's output bytes. Regenerating the
-golden files needs an entry in CHANGES.md that says which bytes moved
-and why.
+``corpus_checksum`` also pins synth's output bytes (and the WAV bytes).
+Regenerating the golden files needs an entry in CHANGES.md that says
+which bytes moved and why.
 """
 
 from pathlib import Path
@@ -30,14 +44,18 @@ import pytest
 
 from f0entrain.cli import main
 
+from conftest import render_wavs
+
 HERE = Path(__file__).parent
 
+# golden directory: (texts per dyad, manifest, run options)
 GOLDENS = {
-    "golden": ["--norm", "se"],
-    "golden_options": [
+    "golden": (8, "corpus/manifest.json", ["--norm", "se"]),
+    "golden_options": (8, "corpus/manifest.json", [
         "--outlier-scope", "speaker", "--semitone", "100", "--surrogate-pool", "all",
         "--norm-scope", "speaker", "--grid-measure", "e_raw",
-    ],
+    ]),
+    "golden_wav": (2, "corpus/manifest_wav.json", ["--from-wav"]),
 }
 
 
@@ -55,14 +73,17 @@ def first_difference(name: str, got: bytes, want: bytes) -> str:
 
 @pytest.mark.parametrize("golden", sorted(GOLDENS))
 def test_run_bundle_matches_golden(golden, tmp_path, monkeypatch):
+    utts, manifest, options = GOLDENS[golden]
     monkeypatch.chdir(tmp_path)
     assert main([
-        "synth", "--dyads", "4", "--utts", "8", "--eps", "0.5", "--seed", "7",
+        "synth", "--dyads", "4", "--utts", str(utts), "--eps", "0.5", "--seed", "7",
         "--scores-coupling", "0.5", "--out", "corpus",
     ]) == 0
+    if "--from-wav" in options:
+        render_wavs(Path("corpus"))
     assert main([
-        "run", "--manifest", "corpus/manifest.json", "--scores", "corpus/scores.csv",
-        *GOLDENS[golden], "--out", "report",
+        "run", "--manifest", manifest, "--scores", "corpus/scores.csv",
+        *options, "--out", "report",
     ]) == 0
 
     want = {p.name: p.read_bytes() for p in sorted((HERE / golden).iterdir())}

@@ -10,7 +10,7 @@ from f0entrain.errors import ComputeError, ParseError, ValidationError
 from f0entrain.types import WordSpan
 
 from conftest import make_track, minimal_manifest_doc, write_manifest_doc
-from oracles import load_f0_csv_by_lines
+from oracles import load_f0_csv_by_lines, write_f0_csv_by_rows
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +369,25 @@ def test_f0_loader_matches_line_parser(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("f0") / "f.csv"
     path.write_bytes(text.encode())
     assert _loaded(ingest.load_f0_csv, path) == _loaded(load_f0_csv_by_lines, path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(0.0, 30.0),
+    st.sampled_from([0.01, 0.005, 0.0125, 0.001]),
+    st.lists(
+        st.tuples(st.booleans(), st.floats(0.0, 2000.0) | st.sampled_from([0.0, 1e-7, 5e-7, 999.9999995])),
+        max_size=40,
+    ),
+)
+def test_f0_writer_matches_row_writer(tmp_path_factory, t0, step, samples):
+    voiced = np.array([on for on, _ in samples], dtype=bool)
+    values = np.array([v if on else 0.0 for on, v in samples], dtype=float)
+    track = make_track(values, voiced, start=t0, step=step)
+    directory = tmp_path_factory.mktemp("f0w")
+    ingest.write_f0_csv(track, directory / "fast.csv")
+    write_f0_csv_by_rows(track, directory / "rows.csv")
+    assert (directory / "fast.csv").read_bytes() == (directory / "rows.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 import wave as wave_io
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from f0entrain import pitch
 from f0entrain.errors import ComputeError, ParseError
 from f0entrain.pitch import PitchConfig, Wave, estimate_f0, read_wav, write_wav
+
+from oracles import estimate_f0_by_frames
 
 FS = 16000
 
@@ -131,3 +136,63 @@ def test_voicing_threshold_gates_noise(rng):
     track = estimate_f0(noise)
     # white noise has weak normalized autocorrelation peaks
     assert track.voiced.mean() < 0.5
+
+
+# ---------------------------------------------------------------------------
+# the block tracker against the frame-by-frame reference
+
+
+def _same_track(got, want):
+    assert got.start_time == want.start_time
+    assert got.step == want.step
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.voiced.tobytes() == want.voiced.tobytes()
+
+
+@st.composite
+def pitch_cases(draw):
+    """(wave, config, block size) for a short signal of a known frame count.
+
+    Sines with vibrato plus noise and a DC offset, with silent gaps that
+    fail the RMS gate, or all-zero input; frame counts around the block
+    size; 8, 16 and 44.1 kHz; default or drawn pitch floor and ceiling.
+    """
+    block = draw(st.sampled_from([pitch.BLOCK_FRAMES, 1, 7]))
+    fs = draw(st.sampled_from([8000.0, 16000.0, 44100.0]))
+    config = PitchConfig()
+    if draw(st.booleans()):
+        floor = draw(st.floats(50.0, 150.0))
+        config = PitchConfig(floor=floor, ceiling=draw(st.floats(floor + 100.0, 0.45 * fs)))
+    n_frames = draw(st.one_of(
+        st.sampled_from([1, max(1, block - 1), block, block + 1]),
+        st.integers(1, 3 * block + 2),
+    ))
+    frame_len = int(round(config.window * fs))
+    hop = int(round(config.time_step * fs))
+    n = frame_len + (n_frames - 1) * hop + draw(st.integers(0, hop - 1))
+    t = np.arange(n) / fs
+    kind = draw(st.sampled_from(["voice", "voice", "voice", "noise", "zeros"]))
+    x = np.zeros(n)
+    if kind != "zeros":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        if kind == "voice":
+            f0 = draw(st.floats(60.0, 500.0)) * (
+                1.0 + draw(st.floats(0.0, 0.2)) * np.sin(2 * np.pi * draw(st.floats(1.0, 8.0)) * t)
+            )
+            x = draw(st.floats(0.01, 0.9)) * np.sin(2 * np.pi * np.cumsum(f0) / fs)
+        x = x + draw(st.floats(0.0, 0.5)) * rng.standard_normal(n) + draw(st.floats(-0.5, 0.5))
+        for _ in range(draw(st.integers(0, 2))):
+            start = draw(st.integers(0, n - 1))
+            x[start : start + draw(st.integers(1, 4 * hop))] = 0.0
+    return Wave(fs, x), config, block
+
+
+@settings(max_examples=150, deadline=None)
+@given(pitch_cases())
+def test_block_tracker_matches_frame_by_frame(case):
+    wave, config, block = case
+    want = estimate_f0_by_frames(wave, config)
+    with mock.patch.object(pitch, "BLOCK_FRAMES", block):
+        got = estimate_f0(wave, config)
+    assert len(got) == len(want)
+    _same_track(got, want)
