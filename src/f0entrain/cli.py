@@ -268,7 +268,9 @@ def _entrain_table(path: str, measure: str) -> dict[str, dict[str, float]]:
     table: dict[str, dict[str, float]] = {}
     for row in _read_csv_columns(path):
         try:
-            table.setdefault(row["speaker"], {})[row["feature"]] = float(row[measure])
+            # an empty e_opt: every sample of that speaker and feature was an outlier
+            if row[measure] != "":
+                table.setdefault(row["speaker"], {})[row["feature"]] = float(row[measure])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{path}: expected speaker/feature/{measure} columns ({exc})")
     return table

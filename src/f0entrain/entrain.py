@@ -7,7 +7,8 @@ feature values, unnormalized path cost). Per speaker and feature:
 * ``e_raw``  - mean DTW distance to the real partner across imitated
   utterances (larger = less entrained);
 * ``e_opt``  - mean of the speaker's distances after corpus-wide
-  per-feature outlier removal (Tukey fences) and z-transformation;
+  per-feature outlier removal (Tukey fences) and z-transformation; None
+  when every one of the speaker's distances falls outside the fences;
 * partner / other distance - ``e_raw`` against the real partner vs. the
   average over surrogate (non-partner) pairings on the same utterance
   indices, same-sex pool by default;
@@ -18,7 +19,7 @@ feature values, unnormalized path cost). Per speaker and feature:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -132,14 +133,6 @@ def compute_samples(manifest: CorpusManifest, contours: ContourMap) -> list[DtwS
     return samples
 
 
-def e_raw(imitator: str, feature: str, samples: Iterable[DtwSample]) -> float:
-    """Mean real-partner DTW distance for one speaker and feature."""
-    values = [s.distance for s in samples if s.imitator == imitator and s.feature == feature]
-    if not values:
-        raise ComputeError(f"no DTW samples for speaker {imitator!r}, feature {feature!r}")
-    return float(np.mean(values))
-
-
 class NormalizedSamples(NamedTuple):
     z: np.ndarray        # z-scores of the retained samples, input order
     kept: np.ndarray     # boolean mask over the input samples
@@ -186,12 +179,10 @@ def other_distance(
         raise ValueError(f"unknown surrogate pool policy {pool!r}")
     partner = manifest.partner_of(target)
     target_sex = manifest.speaker(target).sex
-    imitated = {
-        k: c for (spk, k, role), c in contours.items()
-        if spk == target and role == ROLE_IMITATOR
-    }
-    if not imitated:
-        raise ComputeError(f"speaker {target!r} has no imitation contours")
+    indices = sorted({rec.index for rec in manifest.utterances if rec.imitator == target})
+    if not indices:
+        raise ComputeError(f"speaker {target!r} imitates no utterance")
+    imitated = {k: contours[(target, k, ROLE_IMITATOR)][feature] for k in indices}
 
     candidates = []
     for s in manifest.speakers:
@@ -210,11 +201,11 @@ def other_distance(
     per_candidate = []
     for cand in candidates:
         distances = []
-        for k in sorted(imitated):
+        for k, imit in imitated.items():
             model = contours.get((cand, k, ROLE_MODEL))
             if model is None:
                 continue
-            distances.append(dtw_distance(imitated[k][feature], model[feature]))
+            distances.append(dtw_distance(imit, model[feature]))
         if distances:
             per_candidate.append(float(np.mean(distances)))
     if not per_candidate:
@@ -273,10 +264,12 @@ def measure_corpus(
     (``sd``, the default) or standard error of the mean (``se``); with
     ``se`` both variants are computed and the alternative is reported in
     ``EntrainmentScore.e_opt_alt``. ``norm_scope`` pools normalization
-    statistics corpus-wide (default) or per speaker.
-    ``with_normalization=False`` skips the z-transform (``e_opt`` comes
-    back None), which is needed for degenerate corpora such as perfect
-    imitation where every distance is zero.
+    statistics corpus-wide (default) or per speaker. A speaker whose
+    samples of a feature all fall outside the pool's fences gets ``e_opt``
+    None and ``n_used`` 0 for it. ``with_normalization=False`` skips the
+    z-transform (``e_opt`` comes back None), which is needed for
+    degenerate corpora such as perfect imitation where every distance is
+    zero.
     """
     if norm not in ("sd", "se"):
         raise ValueError(f"unknown normalization mode {norm!r}")
@@ -284,86 +277,52 @@ def measure_corpus(
         raise ValueError(f"unknown normalization scope {norm_scope!r}")
     samples = compute_samples(manifest, contours)
     speakers = sorted({rec.imitator for rec in manifest.utterances})
-
-    by_feature: dict[str, list[DtwSample]] = {f: [] for f in FEATURE_NAMES}
-    for s in samples:
-        by_feature[s.feature].append(s)
-
-    corpus_norms: dict[str, NormalizedSamples] = {}
+    # one row of distances per feature, one column per event in manifest order
+    table = np.array([s.distance for s in samples]).reshape(-1, len(FEATURE_NAMES)).T.copy()
+    imitators = np.array([rec.imitator for rec in manifest.utterances])
+    corpus_norms = []
     if with_normalization and norm_scope == "corpus":
-        for feature in FEATURE_NAMES:
-            corpus_norms[feature] = normalize_samples(
-                np.array([s.distance for s in by_feature[feature]])
-            )
+        corpus_norms = [normalize_samples(row) for row in table]
 
     scores: list[EntrainmentScore] = []
     for speaker in speakers:
-        for feature in FEATURE_NAMES:
-            feature_samples = by_feature[feature]
-            raw_value = e_raw(speaker, feature, feature_samples)
-            if not with_normalization:
-                n_own = sum(1 for s in feature_samples if s.imitator == speaker)
-                scores.append(EntrainmentScore(speaker, feature, raw_value, None, n_own))
-                continue
-            if norm_scope == "speaker":
-                pool_samples = [s for s in feature_samples if s.imitator == speaker]
-                normed = normalize_samples(np.array([s.distance for s in pool_samples]))
-            else:
-                pool_samples = feature_samples
-                normed = corpus_norms[feature]
-            owner = np.array([s.imitator == speaker for s in pool_samples])
-            keep_owner = normed.kept & owner
-            if not keep_owner.any():
-                raise ComputeError(
-                    f"all samples of speaker {speaker!r} removed as outliers "
-                    f"for feature {feature!r}"
-                )
-            own_z = normed.z[owner[normed.kept]]
-            n_retained_pool = int(np.count_nonzero(normed.kept))
-            e_opt_sd = float(own_z.mean())
-            # the SE-of-mean divisor rescales every z-score by sqrt(n) of the pool
-            e_opt_se = e_opt_sd * float(np.sqrt(n_retained_pool))
+        own = imitators == speaker
+        for f, feature in enumerate(FEATURE_NAMES):
+            mine = table[f][own]
+            e_opt = e_opt_alt = None
+            n_used = mine.size
+            if with_normalization:
+                # the pool is the speaker's own samples or the whole row;
+                # ``owner`` marks the speaker's samples within the pool
+                if norm_scope == "speaker":
+                    normed, owner = normalize_samples(mine), np.ones(mine.size, dtype=bool)
+                else:
+                    normed, owner = corpus_norms[f], own
+                n_used = int(np.count_nonzero(normed.kept & owner))
+                if n_used:
+                    e_opt = float(normed.z[owner[normed.kept]].mean())
+                    if norm == "se":
+                        # the SE-of-mean divisor rescales every z-score by sqrt(n) of the pool
+                        e_opt_alt = e_opt * float(np.sqrt(np.count_nonzero(normed.kept)))
             scores.append(
-                EntrainmentScore(
-                    speaker=speaker,
-                    feature=feature,
-                    e_raw=raw_value,
-                    e_opt=e_opt_sd,
-                    n_used=int(np.count_nonzero(keep_owner)),
-                    e_opt_alt=e_opt_se if norm == "se" else None,
-                )
+                EntrainmentScore(speaker, feature, float(np.mean(mine)), e_opt, n_used, e_opt_alt)
             )
 
-    raw = {(s.speaker, s.feature): s.e_raw for s in scores}
     partner_other: list[PartnerOther] = []
     if with_surrogates:
-        for speaker in speakers:
-            for feature in FEATURE_NAMES:
-                other, n_sur = other_distance(
-                    speaker, feature, manifest, contours, pool=surrogate_pool
-                )
-                partner_other.append(
-                    PartnerOther(
-                        speaker=speaker,
-                        feature=feature,
-                        partner_distance=raw[(speaker, feature)],
-                        other_distance=other,
-                        n_surrogates=n_sur,
-                    )
-                )
+        for s in scores:
+            other, n_sur = other_distance(
+                s.speaker, s.feature, manifest, contours, pool=surrogate_pool
+            )
+            partner_other.append(PartnerOther(s.speaker, s.feature, s.e_raw, other, n_sur))
 
+    raw = {(s.speaker, s.feature): s.e_raw for s in scores}
     dyad_scores = []
     for a, b in manifest.dyads:
         for feature in FEATURE_NAMES:
-            if (a, feature) not in raw or (b, feature) not in raw:
-                continue
-            dyad_scores.append(
-                DyadScore(
-                    dyad=(a, b),
-                    feature=feature,
-                    inner_dyad=inner_dyad_distance(raw[(a, feature)], raw[(b, feature)]),
-                )
-            )
+            if (a, feature) in raw and (b, feature) in raw:
+                inner = inner_dyad_distance(raw[(a, feature)], raw[(b, feature)])
+                dyad_scores.append(DyadScore((a, b), feature, inner))
 
     return CorpusMeasurement(
         samples=tuple(samples),

@@ -290,9 +290,11 @@ def correlate_grid(
 
     ``entrainment`` maps speaker -> feature -> value and ``scores`` maps
     speaker -> criterion -> value; the speaker sets must share at least 3
-    members. Cells whose inputs have zero variance are reported with
-    undefined r/p rather than failing the whole grid. Rows come back in
-    lexicographic (feature, criterion) order.
+    members. A feature's cells use the shared speakers that have a value
+    for it, and ``n`` counts them. Cells whose inputs have zero variance or
+    fewer than 3 speakers are reported with undefined r/p rather than
+    failing the whole grid. Rows come back in lexicographic (feature,
+    criterion) order.
     """
     speakers = sorted(set(entrainment) & set(scores))
     if len(speakers) < 3:
@@ -303,17 +305,18 @@ def correlate_grid(
     criteria = sorted({c for spk in speakers for c in scores[spk]})
     cells = []
     for feature in features:
-        x = [entrainment[spk][feature] for spk in speakers]
+        measured = [spk for spk in speakers if feature in entrainment[spk]]
+        x = [entrainment[spk][feature] for spk in measured]
         for criterion in criteria:
-            y = [scores[spk][criterion] for spk in speakers]
+            y = [scores[spk][criterion] for spk in measured]
             try:
                 res = pearson(x, y, alpha=alpha, trend=trend)
                 cells.append(
                     GridCell(
                         feature, criterion, res.statistic, res.p_value,
-                        len(speakers), res.significant, res.trend,
+                        len(measured), res.significant, res.trend,
                     )
                 )
             except ComputeError:
-                cells.append(GridCell(feature, criterion, None, None, len(speakers), False, False))
+                cells.append(GridCell(feature, criterion, None, None, len(measured), False, False))
     return cells

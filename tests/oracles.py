@@ -9,7 +9,9 @@ scipy distributions. The F0 CSV loader and writer, the per-word features
 and the pitch tracker are checked bit for bit against their plain forms: a
 parser that reads one line at a time, a writer that formats one row at a
 time, features that sort every sample set they take a quantile of, and a
-tracker that analyses one frame at a time.
+tracker that analyses one frame at a time. The entrainment measures are
+checked against their per-speaker rescans of every sample and a surrogate
+search over the whole contour store.
 """
 
 from __future__ import annotations
@@ -331,3 +333,166 @@ def write_f0_csv_by_rows(track, path):
         for i in range(len(track))
     ]
     Path(path).write_text("time_s,f0_hz\n" + "\n".join(rows) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# reference implementation of the entrainment layer's bookkeeping: e_raw and
+# the speaker-scope pools rescan every sample, the surrogate search scans the
+# whole contour store, and each normalization mode has its own branch
+
+
+def _e_raw_by_rescan(imitator, feature, samples) -> float:
+    from f0entrain.errors import ComputeError
+
+    values = [s.distance for s in samples if s.imitator == imitator and s.feature == feature]
+    if not values:
+        raise ComputeError(f"no DTW samples for speaker {imitator!r}, feature {feature!r}")
+    return float(np.mean(values))
+
+
+def _other_distance_by_scan(target, feature, manifest, contours, pool):
+    from f0entrain.entrain import ROLE_IMITATOR, ROLE_MODEL, dtw_distance
+    from f0entrain.errors import ComputeError
+
+    partner = manifest.partner_of(target)
+    target_sex = manifest.speaker(target).sex
+    imitated = {
+        k: c for (spk, k, role), c in contours.items()
+        if spk == target and role == ROLE_IMITATOR
+    }
+    if not imitated:
+        raise ComputeError(f"speaker {target!r} has no imitation contours")
+    candidates = [
+        s.id for s in manifest.speakers
+        if s.id not in (target, partner)
+        and (pool == "all" or (s.sex is not None and s.sex == target_sex))
+    ]
+    if not candidates:
+        raise ComputeError(f"empty surrogate pool for speaker {target!r} (pool={pool})")
+    per_candidate = []
+    for cand in candidates:
+        distances = []
+        for k in sorted(imitated):
+            model = contours.get((cand, k, ROLE_MODEL))
+            if model is not None:
+                distances.append(dtw_distance(imitated[k][feature], model[feature]))
+        if distances:
+            per_candidate.append(float(np.mean(distances)))
+    if not per_candidate:
+        raise ComputeError(
+            f"no surrogate candidate shares utterance indices with speaker {target!r}"
+        )
+    return float(np.mean(per_candidate)), len(per_candidate)
+
+
+def measure_corpus_by_rescans(
+    manifest,
+    contours,
+    surrogate_pool="same-sex",
+    norm="sd",
+    norm_scope="corpus",
+    with_surrogates=True,
+    with_normalization=True,
+    empty_outlier_rows=False,
+):
+    """``entrain.measure_corpus`` with a rescan of the samples per speaker.
+
+    A speaker and feature whose samples all fall outside the corpus-wide
+    fences raises ComputeError, or, with ``empty_outlier_rows``, gets a row
+    with ``e_opt`` None and ``n_used`` 0.
+    """
+    from f0entrain.entrain import (
+        CorpusMeasurement,
+        DyadScore,
+        EntrainmentScore,
+        PartnerOther,
+        compute_samples,
+        inner_dyad_distance,
+        normalize_samples,
+    )
+    from f0entrain.errors import ComputeError
+    from f0entrain.features import FEATURE_NAMES
+
+    samples = compute_samples(manifest, contours)
+    speakers = sorted({rec.imitator for rec in manifest.utterances})
+
+    by_feature = {f: [] for f in FEATURE_NAMES}
+    for s in samples:
+        by_feature[s.feature].append(s)
+
+    corpus_norms = {}
+    if with_normalization and norm_scope == "corpus":
+        for feature in FEATURE_NAMES:
+            corpus_norms[feature] = normalize_samples(
+                np.array([s.distance for s in by_feature[feature]])
+            )
+
+    scores = []
+    for speaker in speakers:
+        for feature in FEATURE_NAMES:
+            feature_samples = by_feature[feature]
+            raw_value = _e_raw_by_rescan(speaker, feature, feature_samples)
+            if not with_normalization:
+                n_own = sum(1 for s in feature_samples if s.imitator == speaker)
+                scores.append(EntrainmentScore(speaker, feature, raw_value, None, n_own))
+                continue
+            if norm_scope == "speaker":
+                pool_samples = [s for s in feature_samples if s.imitator == speaker]
+                normed = normalize_samples(np.array([s.distance for s in pool_samples]))
+            else:
+                pool_samples = feature_samples
+                normed = corpus_norms[feature]
+            owner = np.array([s.imitator == speaker for s in pool_samples])
+            keep_owner = normed.kept & owner
+            if not keep_owner.any():
+                if empty_outlier_rows:
+                    scores.append(EntrainmentScore(speaker, feature, raw_value, None, 0))
+                    continue
+                raise ComputeError(
+                    f"all samples of speaker {speaker!r} removed as outliers "
+                    f"for feature {feature!r}"
+                )
+            own_z = normed.z[owner[normed.kept]]
+            n_retained_pool = int(np.count_nonzero(normed.kept))
+            e_opt_sd = float(own_z.mean())
+            e_opt_se = e_opt_sd * float(np.sqrt(n_retained_pool))
+            scores.append(
+                EntrainmentScore(
+                    speaker=speaker,
+                    feature=feature,
+                    e_raw=raw_value,
+                    e_opt=e_opt_sd,
+                    n_used=int(np.count_nonzero(keep_owner)),
+                    e_opt_alt=e_opt_se if norm == "se" else None,
+                )
+            )
+
+    raw = {(s.speaker, s.feature): s.e_raw for s in scores}
+    partner_other = []
+    if with_surrogates:
+        for speaker in speakers:
+            for feature in FEATURE_NAMES:
+                other, n_sur = _other_distance_by_scan(
+                    speaker, feature, manifest, contours, surrogate_pool
+                )
+                partner_other.append(
+                    PartnerOther(speaker, feature, raw[(speaker, feature)], other, n_sur)
+                )
+
+    dyad_scores = []
+    for a, b in manifest.dyads:
+        for feature in FEATURE_NAMES:
+            if (a, feature) not in raw or (b, feature) not in raw:
+                continue
+            dyad_scores.append(
+                DyadScore(
+                    (a, b), feature, inner_dyad_distance(raw[(a, feature)], raw[(b, feature)])
+                )
+            )
+
+    return CorpusMeasurement(
+        samples=tuple(samples),
+        speaker_scores=tuple(scores),
+        partner_other=tuple(partner_other),
+        dyad_scores=tuple(dyad_scores),
+    )

@@ -82,3 +82,11 @@ def test_traced_run_reports_every_layer_metric(traced_corpus, from_wav):
     if from_wav:
         assert run_trace["functions"]["pitch.estimate_f0"]["calls"] == 32
         assert counts["pitch.frames"] == counts["ingest.f0_rows"] > 0
+    else:
+        # the work each layer does: 16 events x 5 features real DTWs, two
+        # same-sex surrogates on two texts per speaker and feature, every
+        # parsed word kept
+        assert counts["entrain.real_dtw"] == 80
+        assert counts["entrain.surrogate_dtw"] == 160
+        assert counts["entrain.dtw_cells"] == 29040
+        assert counts["features.words"] == counts["ingest.align_words"]

@@ -470,3 +470,45 @@ def test_empty_surrogate_pool_suggests_remedy(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "empty surrogate pool for speaker" in err
     assert "the corpus needs two same-sex dyads, or pass --surrogate-pool all" in err
+
+
+@pytest.fixture(scope="module")
+def outlier_run(tmp_path_factory):
+    """(run exit code, corpus, bundle) on one text per dyad: every slope
+    sample of S01 falls outside the corpus-wide fences."""
+    root = tmp_path_factory.mktemp("outliers")
+    corpus_dir, out = root / "c", root / "report"
+    assert main(["synth", "--dyads", "4", "--utts", "1", "--eps", "0.5", "--seed", "0",
+                 "--scores-coupling", "0.5", "--out", str(corpus_dir)]) == 0
+    code = main(["run", "--manifest", str(corpus_dir / "manifest.json"),
+                 "--scores", str(corpus_dir / "scores.csv"), "--out", str(out)])
+    return code, corpus_dir, out
+
+
+def test_speaker_outliers_cost_only_their_rows(outlier_run):
+    code, _, out = outlier_run
+    assert code == 0
+    rows = [line.split(",") for line in (out / "entrain.csv").read_text().splitlines()[1:]]
+    s01_slope = next(row for row in rows if row[:2] == ["S01", "slope"])
+    assert float(s01_slope[2]) > 0.0 and s01_slope[3:] == ["", "0"]
+    # S07 loses mean, median and slope the same way; n counts each feature's speakers
+    empty = {(row[0], row[1]) for row in rows if row[3] == ""}
+    assert empty == {("S01", "slope"), ("S07", "mean"), ("S07", "median"), ("S07", "slope")}
+    grid = [line.split(",") for line in (out / "grid.csv").read_text().splitlines()[1:]]
+    assert {row[0]: int(row[4]) for row in grid} == {
+        "drop": 8, "mean": 7, "median": 7, "range": 8, "slope": 6,
+    }
+
+
+def test_grid_from_entrain_csv_skips_empty_e_opt(outlier_run, tmp_path):
+    code, corpus_dir, out = outlier_run
+    assert code == 0
+    grid = tmp_path / "g.csv"
+    assert main(["grid", "--entrain", str(out / "entrain.csv"),
+                 "--scores", str(corpus_dir / "scores.csv"), "--out", str(grid)]) == 0
+    # entrain.csv holds e_opt to 6 decimals, which moves r in its last printed digits
+    got = [line.split(",") for line in grid.read_text().splitlines()]
+    want = [line.split(",") for line in (out / "grid.csv").read_text().splitlines()]
+    assert [row[:2] + row[3:] for row in got] == [row[:2] + row[3:] for row in want]
+    assert np.allclose([float(row[2]) for row in got[1:]],
+                       [float(row[2]) for row in want[1:]], rtol=0, atol=1e-5)

@@ -1,12 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
-from f0entrain import entrain
+from f0entrain import pipeline, synth
 from f0entrain.entrain import (
     ROLE_IMITATOR,
     ROLE_MODEL,
-    DtwSample,
-    e_raw,
     inner_dyad_distance,
     measure_corpus,
     normalize_samples,
@@ -18,33 +18,7 @@ from f0entrain.ingest import load_manifest
 from f0entrain.quantiles import iqr_fences
 
 from conftest import write_manifest_doc
-
-
-def _sample(imitator, feature, distance, model="X", index=0):
-    return DtwSample(imitator, model, index, feature, distance)
-
-
-# ---------------------------------------------------------------------------
-# e_raw
-
-
-def test_e_raw_is_mean():
-    samples = [_sample("A", "mean", 2.0), _sample("A", "mean", 4.0)]
-    assert e_raw("A", "mean", samples) == 3.0
-
-
-def test_e_raw_filters_speaker_and_feature():
-    samples = [
-        _sample("A", "mean", 2.0),
-        _sample("A", "slope", 50.0),
-        _sample("B", "mean", 9.0),
-    ]
-    assert e_raw("A", "mean", samples) == 2.0
-
-
-def test_e_raw_no_samples():
-    with pytest.raises(ComputeError):
-        e_raw("A", "mean", [])
+from oracles import measure_corpus_by_rescans
 
 
 # ---------------------------------------------------------------------------
@@ -249,3 +223,52 @@ def test_norm_se_reports_both(tmp_path):
     s = meas.speaker_scores[0]
     n_pool = 8  # 4 speakers x 2 utterances, none removed
     assert s.e_opt_alt == pytest.approx(s.e_opt * np.sqrt(n_pool))
+
+
+# ---------------------------------------------------------------------------
+# every option combination against the per-speaker rescans, on synth corpora
+
+ORACLE_CORPORA = {
+    "4x4": synth.SynthConfig(n_dyads=4, n_utterances=4, noise_eps=0.5, seed=1),
+    # every slope sample of S01 falls outside the corpus-wide fences
+    "4x1": synth.SynthConfig(n_dyads=4, n_utterances=1, noise_eps=0.5, seed=0),
+}
+
+
+@pytest.fixture(scope="module")
+def oracle_corpora(tmp_path_factory):
+    corpora = {}
+    for name, cfg in ORACLE_CORPORA.items():
+        manifest_path = synth.gen_corpus(cfg, tmp_path_factory.mktemp(name))
+        config = pipeline.RunConfig(manifest=str(manifest_path), out=".")
+        stages = pipeline.run_stages(config, ())
+        corpora[name] = (stages.manifest, stages.processed.contours)
+    return corpora
+
+
+@pytest.mark.parametrize("corpus", sorted(ORACLE_CORPORA))
+@pytest.mark.parametrize("pool", ["same-sex", "all"])
+@pytest.mark.parametrize("with_normalization", [True, False], ids=["norm", "raw"])
+@pytest.mark.parametrize("norm_scope", ["corpus", "speaker"])
+@pytest.mark.parametrize("norm", ["sd", "se"])
+def test_measure_corpus_matches_rescans(
+    oracle_corpora, corpus, norm, norm_scope, with_normalization, pool
+):
+    manifest, contours = oracle_corpora[corpus]
+    options = dict(
+        surrogate_pool=pool, norm=norm, norm_scope=norm_scope,
+        with_normalization=with_normalization,
+    )
+    try:
+        expected = measure_corpus_by_rescans(manifest, contours, **options)
+    except ComputeError as exc:
+        if "removed as outliers" not in str(exc):
+            with pytest.raises(ComputeError, match=re.escape(str(exc))):
+                measure_corpus(manifest, contours, **options)
+            return
+        # that speaker and feature lose e_opt; every other row is unchanged
+        expected = measure_corpus_by_rescans(
+            manifest, contours, empty_outlier_rows=True, **options
+        )
+        assert [(s.speaker, s.feature) for s in expected.speaker_scores if s.n_used == 0]
+    assert measure_corpus(manifest, contours, **options) == expected

@@ -335,6 +335,24 @@ def test_grid_zero_variance_cell_is_undefined():
     assert not cell.significant and not cell.trend
 
 
+def test_grid_counts_speakers_per_feature():
+    ent, sco = _tables()
+    del ent["S3"]["slope"]
+    for s in ("S0", "S1", "S2", "S4", "S5", "S6", "S7"):
+        del ent[s]["mean"]
+    cells = {(c.feature, c.criterion): c for c in correlate_grid(ent, sco)}
+    measured = [s for s in sorted(ent) if s != "S3"]
+    slope = cells[("slope", "final")]
+    assert slope.n == 9
+    assert slope.r == pearson([ent[s]["slope"] for s in measured],
+                              [sco[s]["final"] for s in measured]).statistic
+    # S3, S8 and S9 keep mean: three is the fewest pearson takes
+    assert cells[("mean", "final")].n == 3 and cells[("mean", "final")].r is not None
+    del ent["S3"]["mean"]
+    mean = {c.criterion: c for c in correlate_grid(ent, sco) if c.feature == "mean"}
+    assert all(c.n == 2 and c.r is None for c in mean.values())
+
+
 def test_grid_insufficient_overlap():
     ent, sco = _tables(n=3)
     sco = {k: v for k, v in list(sco.items())[:2]}
