@@ -5,7 +5,9 @@ stats (ttest|pearson|icc|grid), grid, run. Pipeline options can come from
 a flat ``key=value`` config file (or a previous run's ``run.json``), with
 explicit flags taking precedence.
 
-Exit codes: 0 success, 1 corpus/data error, 2 I/O error.
+Exit codes: 0 success; 1 corpus/data error or bad option value; 2 I/O
+error or malformed command line (an unknown flag or choice, which argparse
+rejects).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from f0entrain import __version__, ingest, pipeline, stats, synth
 from f0entrain.errors import ComputeError, DataError, ParseError
 from f0entrain.ingest import ALL_CRITERIA
 from f0entrain.preprocess import SmoothingConfig, clean_track
-from f0entrain.pipeline import RunConfig
+from f0entrain.pipeline import CHOICES, RunConfig
 
 _CONFIG_FIELDS = {f.name: f.type for f in fields(RunConfig)}
 
@@ -31,8 +33,13 @@ def load_config_file(path: str | Path) -> dict:
     path = Path(path)
     text = path.read_text()
     if path.suffix == ".json" or text.lstrip().startswith("{"):
-        doc = json.loads(text)
-        raw = doc.get("config", doc)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: not valid JSON ({exc})") from None
+        raw = doc.get("config", doc) if isinstance(doc, dict) else doc
+        if not isinstance(raw, dict):
+            raise ParseError(f"{path}: expected a JSON object of options")
     else:
         raw = {}
         for lineno, line in enumerate(text.splitlines(), start=1):
@@ -50,7 +57,10 @@ def load_config_file(path: str | Path) -> dict:
             continue  # recorded constant, not an option
         if key not in _CONFIG_FIELDS:
             raise ParseError(f"{path}: unknown config key {key!r}")
-        out[key] = _coerce(key, value)
+        try:
+            out[key] = _coerce(key, value)
+        except ValueError as exc:
+            raise ParseError(f"{path}: bad value for {key!r} ({exc})") from None
     return out
 
 
@@ -73,10 +83,12 @@ def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scores", help="rater scores CSV")
     parser.add_argument("--window", type=int, help="smoothing window (odd, default 7)")
     parser.add_argument("--order", type=int, help="smoothing polynomial order (default 3)")
-    parser.add_argument("--outlier-scope", choices=["utterance", "speaker"], dest="outlier_scope")
-    parser.add_argument("--surrogate-pool", choices=["same-sex", "all"], dest="surrogate_pool")
-    parser.add_argument("--norm", choices=["sd", "se"], help="z-transform divisor")
-    parser.add_argument("--norm-scope", choices=["corpus", "speaker"], dest="norm_scope")
+    parser.add_argument("--outlier-scope", choices=CHOICES["outlier_scope"], dest="outlier_scope")
+    parser.add_argument(
+        "--surrogate-pool", choices=CHOICES["surrogate_pool"], dest="surrogate_pool"
+    )
+    parser.add_argument("--norm", choices=CHOICES["norm"], help="z-transform divisor")
+    parser.add_argument("--norm-scope", choices=CHOICES["norm_scope"], dest="norm_scope")
     parser.add_argument("--alpha", type=float, help="significance level (default 0.05)")
     parser.add_argument("--trend", type=float, help="trend threshold (default 0.1)")
     parser.add_argument("--semitone", type=float, metavar="REF_HZ",
@@ -85,7 +97,7 @@ def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
                         help="estimate F0 from WAV files named in the manifest (cached as CSV)")
     parser.add_argument("--pitch-floor", type=float, dest="pitch_floor")
     parser.add_argument("--pitch-ceiling", type=float, dest="pitch_ceiling")
-    parser.add_argument("--grid-measure", choices=["e_opt", "e_raw"], dest="grid_measure")
+    parser.add_argument("--grid-measure", choices=CHOICES["grid_measure"], dest="grid_measure")
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
@@ -100,7 +112,10 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         raise ParseError("a corpus manifest is required (--manifest or config file)")
     if values.get("out") is None:
         raise ParseError("an output path is required (--out or config file)")
-    return RunConfig(**values)
+    try:
+        return RunConfig(**values)
+    except ValueError as exc:
+        raise ParseError(f"bad run option: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--entrain", required=True, help="per-speaker entrainment CSV")
         q.add_argument("--scores", required=True)
         q.add_argument("--out", required=True)
-        q.add_argument("--measure", choices=["e_opt", "e_raw"], default="e_opt")
+        q.add_argument("--measure", choices=CHOICES["grid_measure"], default="e_opt")
         q.add_argument("--alpha", type=float, default=0.05)
         q.add_argument("--trend", type=float, default=0.1)
         q.set_defaults(func=cmd_stats_grid)

@@ -97,19 +97,6 @@ def _summarize(y: np.ndarray, step: float) -> WordFeatures:
     return WordFeatures(mean, median, slope, q95 - q05, (last - first) / ((n - 1) * step))
 
 
-def linear_fit(segment: F0Track) -> tuple[float, float]:
-    """OLS line through the segment's values against normalized time.
-
-    Time is mapped affinely onto [0, 1]; returns (intercept at 0, slope
-    over the unit interval). Raises ComputeError for segments with fewer
-    than 2 samples.
-    """
-    if segment.values.size < 2:
-        raise ComputeError("degenerate fit: need at least 2 samples")
-    wf = _summarize(segment.values, segment.step)
-    return wf.mean - wf.slope * 0.5, wf.slope
-
-
 def word_features(segment: F0Track, span: WordSpan) -> WordFeatures:
     """Five-feature summary of one word's pitch samples (see module doc)."""
     n = segment.values.size

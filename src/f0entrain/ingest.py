@@ -63,10 +63,6 @@ class CorpusManifest:
     dyads: tuple[tuple[str, str], ...]
     utterances: tuple[UtteranceRecord, ...]
 
-    @property
-    def speaker_ids(self) -> tuple[str, ...]:
-        return tuple(s.id for s in self.speakers)
-
     def speaker(self, speaker_id: str) -> Speaker:
         for s in self.speakers:
             if s.id == speaker_id:
@@ -238,30 +234,6 @@ def load_manifest(path: str | Path) -> CorpusManifest:
     return CorpusManifest(tuple(speakers), tuple(dyads), tuple(records))
 
 
-def write_manifest(manifest: CorpusManifest, path: str | Path) -> None:
-    """Serialize a manifest; reloading the written file round-trips."""
-    doc = {
-        "speakers": [
-            {k: v for k, v in (("id", s.id), ("sex", s.sex), ("l1", s.l1)) if v is not None}
-            for s in manifest.speakers
-        ],
-        "dyads": [list(d) for d in manifest.dyads],
-        "utterances": [
-            {
-                "index": r.index,
-                "imitator": r.imitator,
-                "model": r.model,
-                "imitator_f0": r.imitator_f0,
-                "model_f0": r.model_f0,
-                "imitator_align": r.imitator_align,
-                "model_align": r.model_align,
-            }
-            for r in manifest.utterances
-        ],
-    }
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True))
-
-
 # ---------------------------------------------------------------------------
 # word alignments
 
@@ -316,20 +288,6 @@ def load_alignment(path: str | Path) -> tuple[list[WordSpan], int]:
                 f"and {cur.text!r} (starts {cur.start})"
             )
     return spans, dropped
-
-
-def write_alignment(spans: Sequence[WordSpan], path: str | Path) -> None:
-    doc = {
-        "segments": [
-            {
-                "words": [
-                    {"word": s.text, "start": round(s.start, 6), "end": round(s.end, 6)}
-                    for s in spans
-                ]
-            }
-        ]
-    }
-    Path(path).write_text(json.dumps(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -458,25 +416,6 @@ def sample_windows(track: F0Track, spans: Sequence[WordSpan]) -> list[tuple[int,
         )
         for span in spans
     ]
-
-
-def slice_track(track: F0Track, span: WordSpan) -> F0Track:
-    """Samples of ``track`` in the window that ``sample_windows`` gives ``span``.
-
-    Raises ComputeError if no sample falls inside.
-    """
-    ((i0, i1),) = sample_windows(track, [span])
-    if i1 <= i0:
-        raise ComputeError(
-            f"empty slice: no sample in [{span.start}, {span.end}) for word {span.text!r}"
-        )
-    # views of the validated (read-only) parent arrays; no copy needed
-    return F0Track._trusted(
-        track.start_time + i0 * track.step,
-        track.step,
-        track.values[i0:i1],
-        track.voiced[i0:i1],
-    )
 
 
 # ---------------------------------------------------------------------------

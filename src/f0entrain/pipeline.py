@@ -41,6 +41,16 @@ from f0entrain.types import F0Track
 
 QUANTILE_CONVENTION = "type7"
 
+# The values each choice field of RunConfig accepts, default first; the
+# command line offers the same. norm "se" reports the "sd" scores as well.
+CHOICES = {
+    "outlier_scope": ("utterance", "speaker"),
+    "surrogate_pool": ("same-sex", "all"),
+    "norm": ("sd", "se"),
+    "norm_scope": ("corpus", "speaker"),
+    "grid_measure": ("e_opt", "e_raw"),
+}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -51,23 +61,23 @@ class RunConfig:
     scores: str | None = None
     window: int = 7
     order: int = 3
-    outlier_scope: str = "utterance"       # or "speaker"
-    surrogate_pool: str = "same-sex"       # or "all"
-    norm: str = "sd"                       # or "se" (reports both)
-    norm_scope: str = "corpus"             # or "speaker"
+    outlier_scope: str = "utterance"
+    surrogate_pool: str = "same-sex"
+    norm: str = "sd"
+    norm_scope: str = "corpus"
     alpha: float = 0.05
     trend: float = 0.1
     semitone: float | None = None          # reference Hz; None = stay in Hz
     from_wav: bool = False
     pitch_floor: float = 75.0
     pitch_ceiling: float = 600.0
-    grid_measure: str = "e_opt"            # or "e_raw"
+    grid_measure: str = "e_opt"
 
     def __post_init__(self):
-        if self.outlier_scope not in ("utterance", "speaker"):
-            raise ValueError(f"unknown outlier scope {self.outlier_scope!r}")
-        if self.grid_measure not in ("e_opt", "e_raw"):
-            raise ValueError(f"unknown grid measure {self.grid_measure!r}")
+        for name, allowed in CHOICES.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(f"{name} must be one of {', '.join(allowed)}, got {value!r}")
         SmoothingConfig(self.window, self.order)
 
     def recorded(self) -> dict:

@@ -21,6 +21,13 @@ import numpy as np
 from f0entrain.errors import ComputeError, ParseError, ValidationError
 from f0entrain.types import F0Track
 
+# One F0 sample per TIME_STEP_S seconds, each from a WINDOW_S-second frame.
+TIME_STEP_S = 0.01
+WINDOW_S = 0.04
+
+# A frame is voiced only if its best autocorrelation peak reaches this.
+VOICING_THRESHOLD = 0.45
+
 # Static per-candidate preference for shorter lags: breaks ties between a
 # period and its multiples without cross-frame tracking.
 OCTAVE_COST = 0.01
@@ -46,30 +53,17 @@ class Wave:
         if self.sample_rate <= 0:
             raise ValidationError(f"sample_rate must be positive, got {self.sample_rate}")
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
 
 @dataclass(frozen=True)
 class PitchConfig:
     floor: float = 75.0
     ceiling: float = 600.0
-    time_step: float = 0.01
-    voicing_threshold: float = 0.45
-    window: float = 0.04
 
     def validate(self, sample_rate: float) -> None:
         if not 0 < self.floor < self.ceiling < sample_rate / 2:
             raise ValidationError(
                 f"need 0 < floor < ceiling < sample_rate/2, got "
                 f"floor={self.floor}, ceiling={self.ceiling}, rate={sample_rate}"
-            )
-        if self.time_step <= 0:
-            raise ValidationError(f"time_step must be positive, got {self.time_step}")
-        if not 0 < self.voicing_threshold < 1:
-            raise ValidationError(
-                f"voicing_threshold must be in (0, 1), got {self.voicing_threshold}"
             )
 
 
@@ -153,12 +147,12 @@ def _best_peaks(
     # the first peak per row after a stable sort by row, strength descending
     order = np.lexsort((-strength, row))
     best = order[np.diff(row[order], prepend=-1) != 0]
-    best = best[(strength[best] > -np.inf) & (value[best] >= config.voicing_threshold)]
+    best = best[(strength[best] > -np.inf) & (value[best] >= VOICING_THRESHOLD)]
     return row[best], fs / lag[best]
 
 
 def estimate_f0(wave: Wave, config: PitchConfig = PitchConfig()) -> F0Track:
-    """Estimate an F0 track with one sample per ``config.time_step``.
+    """Estimate an F0 track with one sample per ``TIME_STEP_S`` seconds.
 
     A frame is voiced iff its best autocorrelation peak reaches the voicing
     threshold and its RMS passes the relative gate; everything is
@@ -169,10 +163,10 @@ def estimate_f0(wave: Wave, config: PitchConfig = PitchConfig()) -> F0Track:
     config.validate(wave.sample_rate)
     fs = wave.sample_rate
     x = wave.samples
-    frame_len = int(round(config.window * fs))
+    frame_len = int(round(WINDOW_S * fs))
     if frame_len < 8 or x.size < frame_len:
         raise ComputeError(
-            f"wave too short: {x.size} samples < one {config.window}s analysis window"
+            f"wave too short: {x.size} samples < one {WINDOW_S}s analysis window"
         )
 
     lag_min = max(2, math.ceil(fs / config.ceiling))
@@ -180,7 +174,7 @@ def estimate_f0(wave: Wave, config: PitchConfig = PitchConfig()) -> F0Track:
     if lag_max <= lag_min:
         raise ValidationError("pitch search range is empty for this window/rate")
 
-    n_frames = int(math.floor((x.size - frame_len) / (config.time_step * fs))) + 1
+    n_frames = int(math.floor((x.size - frame_len) / (TIME_STEP_S * fs))) + 1
     window = np.hanning(frame_len)
 
     fft_len = 1 << int(math.ceil(math.log2(2 * frame_len)))
@@ -194,7 +188,7 @@ def estimate_f0(wave: Wave, config: PitchConfig = PitchConfig()) -> F0Track:
     frames = np.lib.stride_tricks.sliding_window_view(x, frame_len)
     for b0 in range(0, n_frames, BLOCK_FRAMES):
         starts = range(b0, min(b0 + BLOCK_FRAMES, n_frames))
-        block = frames[[int(round(i * config.time_step * fs)) for i in starts]]
+        block = frames[[int(round(i * TIME_STEP_S * fs)) for i in starts]]
 
         # A frame is skipped if its RMS fails the gate or its energy is not
         # positive; NaN fails neither test. A reduction along axis 1 sums
@@ -215,7 +209,7 @@ def estimate_f0(wave: Wave, config: PitchConfig = PitchConfig()) -> F0Track:
 
     return F0Track(
         start_time=frame_len / (2.0 * fs),
-        step=config.time_step,
+        step=TIME_STEP_S,
         values=values,
         voiced=voiced,
     )

@@ -1,7 +1,7 @@
-"""Shared quantile routine.
+"""Shared quantile routines.
 
 Every quantile in the toolkit (outlier fences, feature percentiles,
-normalization) goes through this one function so that a single convention
+normalization) goes through this module so that a single convention
 applies everywhere: linear interpolation between order statistics at
 position h = (n - 1) * p, i.e. the "type 7" rule.
 """
@@ -13,10 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-
-def quantile(values: Sequence[float] | np.ndarray, p: float) -> float:
-    """Type-7 quantile of ``values`` at probability ``p`` in [0, 1]."""
-    return quantiles(values, (p,))[0]
+# Tukey's fence multiplier for the outlier rule
+TUKEY_K = 1.5
 
 
 def quantiles(values: Sequence[float] | np.ndarray, ps: Sequence[float]) -> tuple[float, ...]:
@@ -45,8 +43,8 @@ def type7_position(n: int, p: float) -> tuple[int, int, float]:
     return lo, min(lo + 1, n - 1), h - lo
 
 
-def iqr_fences(values: Sequence[float] | np.ndarray, k: float = 1.5) -> tuple[float, float]:
-    """Tukey fences [q25 - k*IQR, q75 + k*IQR]."""
+def iqr_fences(values: Sequence[float] | np.ndarray) -> tuple[float, float]:
+    """Tukey fences [q25 - k*IQR, q75 + k*IQR] with k = ``TUKEY_K``."""
     q25, q75 = quantiles(values, (0.25, 0.75))
     spread = q75 - q25
-    return q25 - k * spread, q75 + k * spread
+    return q25 - TUKEY_K * spread, q75 + TUKEY_K * spread

@@ -45,26 +45,8 @@ class F0Track:
         if v.size and not np.all(np.isfinite(v)):
             raise ValidationError("voiced F0 values must be finite")
 
-    @classmethod
-    def _trusted(cls, start_time: float, step: float, values, voiced) -> "F0Track":
-        """Construct without copying or re-validating.
-
-        Only for arrays already owned by a validated track (slices, filled
-        copies); both arrays must be 1-D float64/bool and non-writable.
-        """
-        track = object.__new__(cls)
-        object.__setattr__(track, "start_time", start_time)
-        object.__setattr__(track, "step", step)
-        object.__setattr__(track, "values", values)
-        object.__setattr__(track, "voiced", voiced)
-        return track
-
     def __len__(self) -> int:
         return int(self.values.size)
-
-    @property
-    def duration(self) -> float:
-        return len(self) * self.step
 
     @property
     def fully_voiced(self) -> bool:

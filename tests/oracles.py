@@ -258,17 +258,19 @@ def estimate_f0_by_frames(wave, config=None):
     import math
 
     from f0entrain.errors import ComputeError, ValidationError
-    from f0entrain.pitch import OCTAVE_COST, RMS_GATE, PitchConfig
+    from f0entrain.pitch import (
+        OCTAVE_COST, RMS_GATE, TIME_STEP_S, VOICING_THRESHOLD, WINDOW_S, PitchConfig,
+    )
     from f0entrain.types import F0Track
 
     config = PitchConfig() if config is None else config
     config.validate(wave.sample_rate)
     fs = wave.sample_rate
     x = wave.samples
-    frame_len = int(round(config.window * fs))
+    frame_len = int(round(WINDOW_S * fs))
     if frame_len < 8 or x.size < frame_len:
         raise ComputeError(
-            f"wave too short: {x.size} samples < one {config.window}s analysis window"
+            f"wave too short: {x.size} samples < one {WINDOW_S}s analysis window"
         )
 
     lag_min = max(2, math.ceil(fs / config.ceiling))
@@ -276,7 +278,7 @@ def estimate_f0_by_frames(wave, config=None):
     if lag_max <= lag_min:
         raise ValidationError("pitch search range is empty for this window/rate")
 
-    n_frames = int(math.floor((x.size - frame_len) / (config.time_step * fs))) + 1
+    n_frames = int(math.floor((x.size - frame_len) / (TIME_STEP_S * fs))) + 1
     window = np.hanning(frame_len)
 
     fft_len = 1 << int(math.ceil(math.log2(2 * frame_len)))
@@ -289,7 +291,7 @@ def estimate_f0_by_frames(wave, config=None):
     voiced = np.zeros(n_frames, dtype=bool)
 
     for i in range(n_frames):
-        start = int(round(i * config.time_step * fs))
+        start = int(round(i * TIME_STEP_S * fs))
         frame = x[start : start + frame_len]
         frame_ms = float(np.mean(frame * frame))
         if global_ms <= 0.0 or frame_ms < (RMS_GATE**2) * global_ms:
@@ -311,13 +313,13 @@ def estimate_f0_by_frames(wave, config=None):
                 best_strength = strength
                 best_value = value
                 best_f0 = fs / lag
-        if best_value >= config.voicing_threshold:
+        if best_value >= VOICING_THRESHOLD:
             values[i] = best_f0
             voiced[i] = True
 
     return F0Track(
         start_time=frame_len / (2.0 * fs),
-        step=config.time_step,
+        step=TIME_STEP_S,
         values=values,
         voiced=voiced,
     )

@@ -82,6 +82,41 @@ def test_removed_config_key_rejected(corpus, tmp_path, capsys):
     assert "unknown config key 'threads'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, config, named",
+    [
+        (["--window", "4"], None, "window must be a positive odd integer"),
+        ([], ("run.cfg", "window=abc\n"), "run.cfg: bad value for 'window'"),
+        ([], ("run.json", '{"config": {"window": 7,'), "run.json: not valid JSON"),
+        ([], ("run.json", "[7]"), "run.json: expected a JSON object of options"),
+        ([], ("run.cfg", "norm=xx\n"), "norm must be one of sd, se, got 'xx'"),
+    ],
+    ids=[
+        "flag-even-window", "config-window-text", "config-json-broken", "config-json-list",
+        "config-unknown-norm",
+    ],
+)
+def test_bad_run_option_rejected_before_input(tmp_path, capsys, flags, config, named):
+    # the manifest does not exist: reading it would exit 2, not 1
+    out = tmp_path / "out"
+    args = ["run", "--manifest", str(tmp_path / "absent.json"), "--out", str(out), *flags]
+    if config is not None:
+        name, text = config
+        (tmp_path / name).write_text(text)
+        args += ["--config", str(tmp_path / name)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not out.exists()
+
+
+def test_malformed_command_line_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--norm", "xx"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'xx'" in capsys.readouterr().err
+
+
 def test_missing_f0_file_exits_2(corpus, tmp_path):
     doc = json.loads((corpus / "manifest.json").read_text())
     doc["utterances"][0]["imitator_f0"] = "f0/who_knows.csv"

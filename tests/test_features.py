@@ -6,12 +6,11 @@ from f0entrain.errors import ComputeError
 from f0entrain.features import (
     FEATURE_NAMES,
     build_contours,
-    linear_fit,
     parameterize_utterance,
     to_semitones,
     word_features,
 )
-from f0entrain.quantiles import quantile
+from f0entrain.quantiles import quantiles
 from f0entrain.types import WordSpan
 
 from conftest import make_track
@@ -25,31 +24,37 @@ segments = st.lists(
 
 
 # ---------------------------------------------------------------------------
-# linear fit
+# the fitted line: slope is a feature; the line passes through the mean at
+# t = 0.5, so its intercept at t = 0 is mean - slope / 2
+
+
+def _line(values):
+    wf = word_features(make_track(values), SPAN)
+    return wf.mean - wf.slope / 2, wf.slope
 
 
 def test_fit_exact_line():
-    intercept, slope = linear_fit(make_track([100, 110, 120]))
+    intercept, slope = _line([100, 110, 120])
     assert intercept == pytest.approx(100.0, abs=1e-12)
     assert slope == pytest.approx(20.0, abs=1e-12)
 
 
 def test_fit_constant():
-    intercept, slope = linear_fit(make_track([150, 150, 150, 150]))
+    intercept, slope = _line([150, 150, 150, 150])
     assert intercept == pytest.approx(150.0)
     assert slope == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fit_ols_closed_form():
     # slope = sum((t - mean_t)(y - mean_y)) / sum((t - mean_t)^2) = 5 / 0.5
-    intercept, slope = linear_fit(make_track([100, 120, 110]))
+    intercept, slope = _line([100, 120, 110])
     assert slope == pytest.approx(10.0, abs=1e-12)
     assert intercept == pytest.approx(105.0, abs=1e-12)
 
 
 def test_fit_single_sample_degenerate():
-    with pytest.raises(ComputeError, match="degenerate fit"):
-        linear_fit(make_track([100.0]))
+    with pytest.raises(ComputeError, match="need at least 2 samples"):
+        _line([100.0])
 
 
 @settings(max_examples=100, deadline=None)
@@ -58,7 +63,7 @@ def test_fit_matches_oracle(segment):
     n = len(segment)
     t_n = np.arange(n) / (n - 1)
     ref_intercept, ref_slope = ols_line(t_n, segment.values)
-    intercept, slope = linear_fit(segment)
+    intercept, slope = _line(segment.values)
     assert intercept == pytest.approx(ref_intercept, rel=1e-9, abs=1e-9)
     assert slope == pytest.approx(ref_slope, rel=1e-9, abs=1e-6)
 
@@ -134,7 +139,8 @@ def test_range_equals_slope_times_tn_percentile_span(segment):
     wf = word_features(segment, SPAN)
     n = len(segment)
     t_n = np.arange(n) / (n - 1)
-    expected = abs(wf.slope) * (quantile(t_n, 0.95) - quantile(t_n, 0.05))
+    q05, q95 = quantiles(t_n, (0.05, 0.95))
+    expected = abs(wf.slope) * (q95 - q05)
     assert wf.range == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
@@ -143,7 +149,6 @@ def test_range_equals_slope_times_tn_percentile_span(segment):
 def test_word_features_equal_sorting_reference(segment):
     expected = word_features_by_sorting(segment.values, segment.step)
     assert tuple(word_features(segment, SPAN)) == expected
-    assert linear_fit(segment)[1] == expected[2]
 
 
 @st.composite

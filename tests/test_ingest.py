@@ -20,7 +20,7 @@ from oracles import load_f0_csv_by_lines, write_f0_csv_by_rows
 def test_minimal_manifest_loads(tmp_path):
     path = write_manifest_doc(minimal_manifest_doc(), tmp_path)
     manifest = ingest.load_manifest(path)
-    assert manifest.speaker_ids == ("A", "B")
+    assert tuple(s.id for s in manifest.speakers) == ("A", "B")
     assert len(manifest.utterances) == 2
     assert manifest.partner_of("A") == "B"
     # relative paths are resolved against the manifest directory
@@ -136,14 +136,6 @@ def test_malformed_json_is_parse_error(tmp_path):
         ingest.load_manifest(path)
 
 
-def test_manifest_round_trip(tmp_path):
-    path = write_manifest_doc(minimal_manifest_doc(), tmp_path)
-    loaded = ingest.load_manifest(path)
-    out = tmp_path / "copy.json"
-    ingest.write_manifest(loaded, out)
-    assert ingest.load_manifest(out) == loaded
-
-
 def test_art_shaped_manifest(tmp_path):
     # 58 speakers in 29 same-sex dyads, 40 imitations per speaker
     speakers = [{"id": f"S{i:02d}", "sex": "F" if i < 40 else "M"} for i in range(58)]
@@ -242,7 +234,8 @@ def test_non_numeric_word_time_names_file(tmp_path):
 def test_alignment_round_trip(tmp_path):
     spans = [WordSpan("a", 0.0, 0.31), WordSpan("b", 0.31, 0.62)]
     path = tmp_path / "rt.json"
-    ingest.write_alignment(spans, path)
+    words = [{"word": s.text, "start": s.start, "end": s.end} for s in spans]
+    path.write_text(json.dumps({"segments": [{"words": words}]}))
     loaded, dropped = ingest.load_alignment(path)
     assert loaded == spans and dropped == 0
 
@@ -298,7 +291,7 @@ def test_f0_csv_500_rows_duration(tmp_path):
     path.write_text("time_s,f0_hz\n" + rows + "\n")
     track = ingest.load_f0_csv(path)
     assert len(track) == 500
-    assert track.duration == pytest.approx(5.0)
+    assert len(track) * track.step == pytest.approx(5.0)
 
 
 def test_f0_csv_round_trip(tmp_path, rng):
@@ -391,34 +384,35 @@ def test_f0_writer_matches_row_writer(tmp_path_factory, t0, step, samples):
 
 
 # ---------------------------------------------------------------------------
-# slicing
+# word windows
 
 
 def test_slice_half_open_window():
     track = make_track(100 + np.arange(100, dtype=float), step=0.01)
-    piece = ingest.slice_track(track, WordSpan("w", 0.40, 0.50))
-    assert len(piece) == 10
-    assert piece.start_time == pytest.approx(0.40)
-    assert piece.values[0] == 140.0 and piece.values[-1] == 149.0
+    ((i0, i1),) = ingest.sample_windows(track, [WordSpan("w", 0.40, 0.50)])
+    assert (i0, i1) == (40, 50)
+    assert track.values[i0] == 140.0 and track.values[i1 - 1] == 149.0
 
 
-def test_slice_empty_is_error():
+def test_slice_empty_window():
     track = make_track(100 + np.arange(100, dtype=float), step=0.01)
-    with pytest.raises(ComputeError, match="empty slice"):
-        ingest.slice_track(track, WordSpan("w", 0.995, 0.999))
+    ((i0, i1),) = ingest.sample_windows(track, [WordSpan("w", 0.995, 0.999)])
+    assert i1 <= i0
 
 
 def test_slice_whole_track_is_identity():
     track = make_track(100 + np.arange(100, dtype=float), step=0.01)
-    assert ingest.slice_track(track, WordSpan("w", 0.0, 1.0)) == track
+    assert ingest.sample_windows(track, [WordSpan("w", 0.0, 1.0)]) == [(0, len(track))]
 
 
 def test_consecutive_spans_partition_samples():
     track = make_track(100 + np.arange(100, dtype=float), step=0.01)
     spans = [WordSpan("a", 0.0, 0.33), WordSpan("b", 0.33, 0.61), WordSpan("c", 0.61, 1.0)]
-    pieces = [ingest.slice_track(track, s) for s in spans]
-    assert sum(len(p) for p in pieces) == len(track)
-    stitched = np.concatenate([p.values for p in pieces])
+    windows = ingest.sample_windows(track, spans)
+    assert windows[0][0] == 0 and windows[-1][1] == len(track)
+    # each window starts where the previous one ends: no sample twice, none missed
+    assert all(prev[1] == cur[0] for prev, cur in zip(windows, windows[1:]))
+    stitched = np.concatenate([track.values[i0:i1] for i0, i1 in windows])
     assert np.array_equal(stitched, track.values)
 
 
