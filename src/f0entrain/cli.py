@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: synth, preprocess, features, entrain, validate, dyads,
-stats (ttest|pearson|icc|grid), grid, run. Pipeline options can come from
+stats (ttest|pearson|icc), grid, run. Pipeline options can come from
 a flat ``key=value`` config file (or a previous run's ``run.json``), with
 explicit flags taking precedence.
 
@@ -16,16 +16,21 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import fields
+import typing
 from pathlib import Path
 
 from f0entrain import __version__, ingest, pipeline, stats, synth
-from f0entrain.errors import ComputeError, DataError, ParseError
+from f0entrain.errors import ComputeError, DataError, ParseError, ValidationError
 from f0entrain.ingest import ALL_CRITERIA
 from f0entrain.preprocess import SmoothingConfig, clean_track
 from f0entrain.pipeline import CHOICES, RunConfig
 
-_CONFIG_FIELDS = {f.name: f.type for f in fields(RunConfig)}
+# RunConfig field -> its type, None dropped from an optional one
+CONFIG_TYPES = {
+    name: next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+    for name, hint in typing.get_type_hints(RunConfig).items()
+}
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -55,25 +60,26 @@ def load_config_file(path: str | Path) -> dict:
     for key, value in raw.items():
         if key == "quantile_convention":
             continue  # recorded constant, not an option
-        if key not in _CONFIG_FIELDS:
+        if key not in CONFIG_TYPES:
             raise ParseError(f"{path}: unknown config key {key!r}")
         try:
-            out[key] = _coerce(key, value)
+            out[key] = _coerce(CONFIG_TYPES[key], value)
         except ValueError as exc:
             raise ParseError(f"{path}: bad value for {key!r} ({exc})") from None
     return out
 
 
-def _coerce(key: str, value):
+def _coerce(kind: type, value):
+    """Text converted to ``kind``, or a JSON value of that type (an int for a float)."""
     if value is None or (isinstance(value, str) and value.lower() in ("", "none")):
         return None
-    if key in ("window", "order"):
-        return int(value)
-    if key in ("alpha", "trend", "semitone", "pitch_floor", "pitch_ceiling"):
-        return float(value)
-    if key == "from_wav":  # a run.json holds a JSON bool: str(True) is "True"
-        return str(value).lower() in ("1", "true", "yes")
-    return str(value)
+    if kind is bool:  # a run.json holds a JSON bool: str(True) is "True"
+        if str(value).lower() not in _BOOLS:
+            raise ValueError(f"expected one of {', '.join(_BOOLS)}, got {value!r}")
+        return _BOOLS[str(value).lower()]
+    if isinstance(value, str) or type(value) is kind or (kind is float and type(value) is int):
+        return kind(value)
+    raise ValueError(f"expected {kind.__name__}, got {value!r}")
 
 
 def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
@@ -104,7 +110,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
     if getattr(args, "config", None):
         values.update(load_config_file(args.config))
-    for name in _CONFIG_FIELDS:
+    for name in CONFIG_TYPES:
         given = getattr(args, name, None)
         if given is not None:
             values[name] = given
@@ -114,7 +120,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         raise ParseError("an output path is required (--out or config file)")
     try:
         return RunConfig(**values)
-    except ValueError as exc:
+    except (ValueError, ValidationError) as exc:
         raise ParseError(f"bad run option: {exc}") from None
 
 
@@ -131,8 +137,6 @@ def cmd_synth(args) -> int:
             noise_eps=args.eps,
             words_min=args.words_min,
             words_max=args.words_max,
-            base_f0_low=args.base_low,
-            base_f0_high=args.base_high,
             seed=args.seed,
         )
         if args.scores_coupling is not None:
@@ -150,11 +154,10 @@ def cmd_synth(args) -> int:
         run_config = RunConfig(manifest=str(manifest_path), out=args.out)
         table = pipeline.run_stages(run_config, {"dtw"}).measurement.e_raw_table()
         rows = synth.gen_scores(
-            {spk: feats[args.scores_feature] for spk, feats in table.items()},
+            {spk: feats[synth.SCORE_FEATURE] for spk, feats in table.items()},
             coupling=args.scores_coupling,
             noise=args.scores_noise,
-            seed=args.scores_seed if args.scores_seed is not None else args.seed,
-            n_raters=args.raters,
+            seed=args.seed,
         )
         scores_path = Path(args.out) / "scores.csv"
         ingest.write_scores_csv(rows, scores_path)
@@ -291,7 +294,7 @@ def _entrain_table(path: str, measure: str) -> dict[str, dict[str, float]]:
     return table
 
 
-def cmd_stats_grid(args) -> int:
+def cmd_grid(args) -> int:
     table = _entrain_table(args.entrain, args.measure)
     scores = ingest.load_scores(args.scores)
     cells = stats.correlate_grid(
@@ -321,14 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--words-min", type=int, default=6)
     p.add_argument("--words-max", type=int, default=13)
-    p.add_argument("--base-low", type=float, default=100.0)
-    p.add_argument("--base-high", type=float, default=250.0)
     p.add_argument("--scores-coupling", type=float, default=None,
                    help="also emit scores.csv coupled to measured e_raw")
     p.add_argument("--scores-noise", type=float, default=0.15)
-    p.add_argument("--scores-seed", type=int, default=None)
-    p.add_argument("--scores-feature", default="mean", help="feature driving the scores")
-    p.add_argument("--raters", type=int, default=6)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("preprocess", help="clean one F0 CSV (interpolate, de-spike, smooth)")
@@ -373,17 +371,14 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--out")
     q.set_defaults(func=cmd_stats_icc)
 
-    def add_grid_args(q):
-        q.add_argument("--entrain", required=True, help="per-speaker entrainment CSV")
-        q.add_argument("--scores", required=True)
-        q.add_argument("--out", required=True)
-        q.add_argument("--measure", choices=CHOICES["grid_measure"], default="e_opt")
-        q.add_argument("--alpha", type=float, default=0.05)
-        q.add_argument("--trend", type=float, default=0.1)
-        q.set_defaults(func=cmd_stats_grid)
-
-    add_grid_args(stats_sub.add_parser("grid", help="feature x criterion correlation grid"))
-    add_grid_args(sub.add_parser("grid", help="feature x criterion correlation grid"))
+    p = sub.add_parser("grid", help="feature x criterion correlation grid")
+    p.add_argument("--entrain", required=True, help="per-speaker entrainment CSV")
+    p.add_argument("--scores", required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--measure", choices=CHOICES["grid_measure"], default="e_opt")
+    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--trend", type=float, default=0.1)
+    p.set_defaults(func=cmd_grid)
 
     return parser
 

@@ -21,6 +21,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -390,14 +391,20 @@ def load_f0_csv(path: str | Path) -> F0Track:
     return F0Track(start_time=t0, step=step, values=values, voiced=values > 0.0)
 
 
+@lru_cache(maxsize=8)
+def _time_fields(start: float, step: float, n: int) -> tuple[str, ...]:
+    """The text "t," that starts row i < n of an F0 CSV, with t = start + i * step."""
+    return tuple(map("%.6f,".__mod__, (start + np.arange(n) * step).tolist()))
+
+
 def write_f0_csv(track: F0Track, path: str | Path) -> None:
     """Write a track in the F0 CSV format with six decimal digits."""
-    times = track.start_time + np.arange(len(track)) * track.step
-    rows = [
-        "%.6f,%.6f" % (t, f0) if voiced else "%.6f," % t
-        for t, f0, voiced in zip(times.tolist(), track.values.tolist(), track.voiced.tolist())
-    ]
-    Path(path).write_text("time_s,f0_hz\n" + "\n".join(rows) + "\n")
+    # a power-of-two row count keeps the cache to a few entries per time grid
+    times = _time_fields(track.start_time, track.step, 1 << len(track).bit_length())
+    rows = map("%s%.6f".__mod__, zip(times, track.values.tolist()))
+    if not track.fully_voiced:  # an unvoiced row keeps an empty f0 field
+        rows = [row if voiced else t for row, t, voiced in zip(rows, times, track.voiced.tolist())]
+    Path(path).write_text(F0_HEADER + "\n" + "\n".join(rows) + "\n")
 
 
 def sample_windows(track: F0Track, spans: Sequence[WordSpan]) -> list[tuple[int, int]]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -78,7 +79,13 @@ class RunConfig:
             value = getattr(self, name)
             if value not in allowed:
                 raise ValueError(f"{name} must be one of {', '.join(allowed)}, got {value!r}")
+        for name in ("alpha", "trend"):
+            if not 0 < getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in (0, 1), got {getattr(self, name)}")
+        if self.semitone is not None and not 0 < self.semitone < math.inf:
+            raise ValueError(f"semitone must be a finite reference > 0 Hz, got {self.semitone}")
         SmoothingConfig(self.window, self.order)
+        PitchConfig(self.pitch_floor, self.pitch_ceiling)
 
     def recorded(self) -> dict:
         """Config as recorded in run.json."""
@@ -130,11 +137,12 @@ def collect_renditions(manifest: CorpusManifest) -> list[Rendition]:
 def _load_track(rendition: Rendition, config: RunConfig) -> F0Track:
     path = Path(rendition.f0_path)
     if config.from_wav and path.suffix.lower() == ".wav":
-        cache = path.with_name(path.name + ".f0.csv")
+        # runs with other pitch settings never share a cache
+        floor, ceiling = float(config.pitch_floor), float(config.pitch_ceiling)
+        cache = path.with_name(f"{path.stem}.{floor!r}-{ceiling!r}Hz{path.suffix}.f0.csv")
         if cache.exists():
             return ingest.load_f0_csv(cache)
-        pitch_config = PitchConfig(floor=config.pitch_floor, ceiling=config.pitch_ceiling)
-        track = estimate_f0(read_wav(path), pitch_config)
+        track = estimate_f0(read_wav(path), PitchConfig(floor, ceiling))
         ingest.write_f0_csv(track, cache)
         return ingest.load_f0_csv(cache)  # reread so cached and fresh runs agree
     return ingest.load_f0_csv(path)

@@ -59,11 +59,16 @@ class PitchConfig:
     floor: float = 75.0
     ceiling: float = 600.0
 
-    def validate(self, sample_rate: float) -> None:
-        if not 0 < self.floor < self.ceiling < sample_rate / 2:
+    def __post_init__(self):
+        if not 0 < self.floor < self.ceiling:
             raise ValidationError(
-                f"need 0 < floor < ceiling < sample_rate/2, got "
-                f"floor={self.floor}, ceiling={self.ceiling}, rate={sample_rate}"
+                f"need 0 < pitch floor < pitch ceiling, got floor={self.floor}, ceiling={self.ceiling}"
+            )
+
+    def validate(self, sample_rate: float) -> None:
+        if not self.ceiling < sample_rate / 2:
+            raise ValidationError(
+                f"need pitch ceiling < sample_rate/2, got ceiling={self.ceiling}, rate={sample_rate}"
             )
 
 

@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
 from f0entrain.errors import ComputeError
-from f0entrain.ingest import CRITERIA, ScoreRow
+from f0entrain.ingest import CRITERIA, ScoreRow, write_f0_csv
+from f0entrain.types import F0Track
 
 STEP_S = 0.01
 WORD_DURATION_RANGE_S = (0.15, 0.35)
@@ -36,10 +36,13 @@ RISE_SPREAD_HZ = 35.0     # within-word rise/fall
 NOISE_MID_HZ = 6.0        # imitation level noise per unit of noise_eps
 NOISE_RISE_HZ = 8.0       # imitation rise noise per unit of noise_eps
 F0_FLOOR_HZ = 1.0
+BASE_F0_RANGE_HZ = (100.0, 250.0)   # each speaker's register is drawn from it
 L1_CYCLE = ("it", "fr", "sk")
 
 SCORE_CENTER = 3.0
 SCORE_AMPLITUDE = 0.45    # scale of the entrainment-coupled score component
+N_RATERS = 6
+SCORE_FEATURE = "mean"    # the feature whose e_raw the scores follow
 
 
 @dataclass(frozen=True)
@@ -49,8 +52,6 @@ class SynthConfig:
     noise_eps: float = 0.0
     words_min: int = 6
     words_max: int = 13
-    base_f0_low: float = 100.0
-    base_f0_high: float = 250.0
     seed: int = 0
 
     def __post_init__(self):
@@ -60,10 +61,6 @@ class SynthConfig:
             raise ValueError(f"noise_eps must be >= 0, got {self.noise_eps}")
         if not 1 <= self.words_min <= self.words_max:
             raise ValueError(f"invalid word count range {self.words_min}..{self.words_max}")
-        if not 0 < self.base_f0_low <= self.base_f0_high:
-            raise ValueError(
-                f"invalid base F0 range {self.base_f0_low}..{self.base_f0_high}"
-            )
 
 
 def _synthesize(durations: np.ndarray, mids: np.ndarray, rises: np.ndarray):
@@ -76,19 +73,6 @@ def _synthesize(durations: np.ndarray, mids: np.ndarray, rises: np.ndarray):
     t_rel = (t - boundaries[word]) / durations[word]
     values = mids[word] + rises[word] * (t_rel - 0.5)
     return np.maximum(values, F0_FLOOR_HZ), boundaries
-
-
-@lru_cache(maxsize=None)
-def _time_fields(n: int) -> tuple[str, ...]:
-    """The text "t," that starts row i < n of an F0 CSV, with t = i * STEP_S."""
-    return tuple(map("%.6f,".__mod__, (np.arange(n) * STEP_S).tolist()))
-
-
-def _write_f0(path: Path, values: np.ndarray) -> None:
-    # a power-of-two row count keeps the cache to a few entries
-    times = _time_fields(1 << len(values).bit_length())
-    rows = "\n".join(map("%s%.6f".__mod__, zip(times, values.tolist())))
-    path.write_text("time_s,f0_hz\n" + rows + "\n")
 
 
 def _write_align(path: Path, index: int, boundaries: np.ndarray) -> None:
@@ -118,7 +102,7 @@ def gen_corpus(config: SynthConfig, out_dir: str | Path) -> Path:
 
     n_speakers = 2 * config.n_dyads
     speaker_ids = [f"S{i:02d}" for i in range(n_speakers)]
-    bases = rng.uniform(config.base_f0_low, config.base_f0_high, size=n_speakers)
+    bases = rng.uniform(*BASE_F0_RANGE_HZ, size=n_speakers)
     words_per_index = rng.integers(
         config.words_min, config.words_max + 1, size=config.n_utterances
     )
@@ -151,6 +135,7 @@ def gen_corpus(config: SynthConfig, out_dir: str | Path) -> Path:
                 noise_rise = rng.uniform(-NOISE_RISE_HZ, NOISE_RISE_HZ, size=w)
 
                 model_values, boundaries = _synthesize(durations, mids, rises)
+                voiced = np.ones(len(model_values), dtype=bool)
                 imit_values, _ = _synthesize(
                     durations,
                     mids + config.noise_eps * noise_mid,
@@ -163,8 +148,8 @@ def gen_corpus(config: SynthConfig, out_dir: str | Path) -> Path:
                     "model_align": f"align/{model_id}_{k:03d}_model.json",
                     "imitator_align": f"align/{imit_id}_{k:03d}_imit.json",
                 }
-                _write_f0(out / names["model_f0"], model_values)
-                _write_f0(out / names["imitator_f0"], imit_values)
+                write_f0_csv(F0Track(0.0, STEP_S, model_values, voiced), out / names["model_f0"])
+                write_f0_csv(F0Track(0.0, STEP_S, imit_values, voiced), out / names["imitator_f0"])
                 _write_align(out / names["model_align"], k, boundaries)
                 _write_align(out / names["imitator_align"], k, boundaries)
                 utterances.append({"index": k, "imitator": imit_id, "model": model_id, **names})
@@ -193,7 +178,6 @@ def gen_scores(
     coupling: float,
     noise: float,
     seed: int,
-    n_raters: int = 6,
 ) -> list[ScoreRow]:
     """Proficiency scores coupled to per-speaker entrainment distances.
 
@@ -228,7 +212,7 @@ def gen_scores(
 
     rows = []
     for i, speaker in enumerate(speakers):
-        for r in range(n_raters):
+        for r in range(N_RATERS):
             jitter = noise * rng.standard_normal(len(CRITERIA))
             scores = np.clip(base[i] + jitter, 1.0, 5.0)
             rows.append(

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -9,7 +11,8 @@ import numpy as np
 import pytest
 
 from f0entrain import ingest, pipeline, stats, synth
-from f0entrain.cli import main
+from f0entrain.cli import CONFIG_TYPES, build_parser, load_config_file, main
+from f0entrain.errors import ParseError
 from f0entrain.pitch import Wave, write_wav
 from f0entrain.stats import GridCell
 
@@ -90,10 +93,19 @@ def test_removed_config_key_rejected(corpus, tmp_path, capsys):
         ([], ("run.json", '{"config": {"window": 7,'), "run.json: not valid JSON"),
         ([], ("run.json", "[7]"), "run.json: expected a JSON object of options"),
         ([], ("run.cfg", "norm=xx\n"), "norm must be one of sd, se, got 'xx'"),
+        (["--semitone", "-5"], None, "bad run option: semitone must be a finite reference > 0 Hz"),
+        (["--semitone", "0"], None, "bad run option: semitone must be a finite reference > 0 Hz"),
+        (["--alpha", "nan"], None, "bad run option: alpha must be in (0, 1), got nan"),
+        (["--alpha", "7"], None, "bad run option: alpha must be in (0, 1), got 7.0"),
+        (["--trend", "-1"], None, "bad run option: trend must be in (0, 1), got -1.0"),
+        ([], ("run.json", '{"alpha": "nan"}'), "bad run option: alpha must be in (0, 1)"),
+        (["--from-wav", "--pitch-floor", "700", "--pitch-ceiling", "600"], None,
+         "bad run option: need 0 < pitch floor < pitch ceiling, got floor=700.0, ceiling=600.0"),
     ],
     ids=[
         "flag-even-window", "config-window-text", "config-json-broken", "config-json-list",
-        "config-unknown-norm",
+        "config-unknown-norm", "flag-negative-semitone", "flag-zero-semitone", "flag-nan-alpha",
+        "flag-alpha-above-1", "flag-negative-trend", "config-nan-alpha", "flag-floor-over-ceiling",
     ],
 )
 def test_bad_run_option_rejected_before_input(tmp_path, capsys, flags, config, named):
@@ -107,6 +119,65 @@ def test_bad_run_option_rejected_before_input(tmp_path, capsys, flags, config, n
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [({"window": 8.9}, "window"), ({"from_wav": "maybe"}, "from_wav"), ({"window": True}, "window")],
+    ids=["int-given-float", "bool-given-text", "int-given-bool"],
+)
+def test_config_value_of_wrong_type_rejected(tmp_path, doc, key):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"config": doc}))
+    with pytest.raises(ParseError, match="^" + re.escape(f"{path}: bad value for '{key}'")):
+        load_config_file(path)
+
+
+def test_config_text_values_take_the_field_types(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("window=9\nalpha=0.01\nfrom_wav=yes\nsemitone=none\nnorm=se\n")
+    assert load_config_file(path) == {
+        "window": 9, "alpha": 0.01, "from_wav": True, "semitone": None, "norm": "se",
+    }
+
+
+def test_run_flags_are_the_run_config_fields():
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a for a in commands.choices["run"]._actions if a.dest not in ("help", "config")}
+    assert set(flags) == set(CONFIG_TYPES)
+    for name, kind in CONFIG_TYPES.items():
+        action = flags[name]
+        assert action.option_strings == ["--" + name.replace("_", "-")]
+        assert action.default is None  # an unset flag leaves a config file's value
+        if kind is bool:
+            assert isinstance(action, argparse._StoreTrueAction)
+        else:
+            assert (action.type or str) is kind, name
+        assert action.choices == pipeline.CHOICES.get(name), name
+
+
+SYNTH = ["synth", "--dyads", "4", "--utts", "2", "--eps", "0.5", "--scores-coupling", "0.5"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([*SYNTH, "--base-low", "90"], "unrecognized arguments: --base-low 90"),
+        ([*SYNTH, "--base-high", "300"], "unrecognized arguments: --base-high 300"),
+        ([*SYNTH, "--raters", "3"], "unrecognized arguments: --raters 3"),
+        ([*SYNTH, "--scores-seed", "1"], "unrecognized arguments: --scores-seed 1"),
+        ([*SYNTH, "--scores-feature", "slope"], "unrecognized arguments: --scores-feature slope"),
+        (["stats", "grid", "--entrain", "e.csv", "--scores", "s.csv"], "invalid choice: 'grid'"),
+    ],
+    ids=["base-low", "base-high", "raters", "scores-seed", "scores-feature", "stats-grid"],
+)
+def test_removed_options_exit_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -449,7 +520,7 @@ def test_from_wav_pipeline(tmp_path):
     manifest.write_text(json.dumps(doc))
     out = tmp_path / "bundle"
     assert main(["run", "--manifest", str(manifest), "--out", str(out), "--from-wav"]) == 0
-    caches = list((tmp_path / "wav").glob("*.f0.csv"))
+    caches = list((tmp_path / "wav").glob("*.75.0-600.0Hz.wav.f0.csv"))
     assert len(caches) == 16  # one per rendition, reusable on the next run
     entrain_rows = (out / "entrain.csv").read_text().splitlines()[1:]
     assert all(float(r.split(",")[2]) >= 0 for r in entrain_rows)
@@ -492,6 +563,26 @@ def test_silent_wav_names_its_file(small_corpus, tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: {wav}: cannot interpolate an all-unvoiced track\n"
     )
+
+
+def test_f0_cache_serves_only_its_pitch_settings(small_corpus, tmp_path, monkeypatch):
+    other = ["--pitch-floor", "100", "--pitch-ceiling", "300"]
+    bundles = []
+    for name, runs in (("warm", [[], other]), ("cold", [other])):
+        corpus_dir = shutil.copytree(small_corpus, tmp_path / name / "corpus")
+        for cache in (corpus_dir / "wav").glob("*.f0.csv"):
+            cache.unlink()
+        monkeypatch.chdir(tmp_path / name)
+        for options in runs:
+            assert main(["run", "--manifest", "corpus/manifest_wav.json", "--from-wav",
+                         *options, "--out", "report"]) == 0
+        bundles.append(_bundle_bytes(Path("report")))
+    warm, cold = bundles
+    assert warm == cold
+    defaults = tmp_path / "defaults"
+    assert main(["features", "--manifest", str(tmp_path / "cold/corpus/manifest_wav.json"),
+                 "--from-wav", "--out", str(defaults)]) == 0
+    assert defaults.read_bytes() != cold["features.csv"]  # the settings matter
 
 
 def test_empty_surrogate_pool_suggests_remedy(tmp_path, capsys):

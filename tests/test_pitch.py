@@ -123,8 +123,8 @@ def test_too_short_rejected():
 
 
 def test_config_validation():
-    with pytest.raises(ValidationError):
-        PitchConfig(floor=700, ceiling=600).validate(FS)
+    with pytest.raises(ValidationError, match="floor=700, ceiling=600"):
+        PitchConfig(floor=700, ceiling=600)
     with pytest.raises(ValidationError):
         PitchConfig(floor=75, ceiling=9000).validate(FS)
 
