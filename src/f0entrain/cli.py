@@ -197,6 +197,16 @@ def cmd_pipeline(args) -> int:
 # --- stats subcommands -----------------------------------------------------
 
 
+def _check_levels(args) -> None:
+    """The command's ``--alpha`` and ``--trend``, checked before any input is read."""
+    for name in ("alpha", "trend"):
+        if hasattr(args, name):
+            try:
+                pipeline.check_level(name, getattr(args, name))
+            except ValueError as exc:
+                raise ParseError(f"bad option: {exc}") from None
+
+
 def _read_csv_columns(path: str) -> list[dict]:
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -221,6 +231,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_stats_ttest(args) -> int:
+    _check_levels(args)
     rows = _data_rows(args.csv, args.x, args.y, *filter(None, [args.by]))
     groups: dict[str, list[dict]] = {}
     if args.by:
@@ -243,6 +254,7 @@ def cmd_stats_ttest(args) -> int:
 
 
 def cmd_stats_pearson(args) -> int:
+    _check_levels(args)
     rows = _data_rows(args.csv, args.x, args.y)
     x = [float(r[args.x]) for r in rows]
     y = [float(r[args.y]) for r in rows]
@@ -257,6 +269,7 @@ def cmd_stats_pearson(args) -> int:
 
 
 def cmd_stats_icc(args) -> int:
+    _check_levels(args)
     table = ingest.load_scores(args.scores)
     speakers = sorted({r.speaker for r in table.rows})
     raters = sorted({r.rater for r in table.rows})
@@ -295,6 +308,7 @@ def _entrain_table(path: str, measure: str) -> dict[str, dict[str, float]]:
 
 
 def cmd_grid(args) -> int:
+    _check_levels(args)
     table = _entrain_table(args.entrain, args.measure)
     scores = ingest.load_scores(args.scores)
     cells = stats.correlate_grid(

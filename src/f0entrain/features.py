@@ -30,6 +30,9 @@ from f0entrain import ingest
 
 FEATURE_NAMES = ("mean", "median", "slope", "range", "drop")
 
+# the rows of UtteranceFeatures.table: a word's times, then its features
+TABLE_ROWS = ("start_s", "end_s") + FEATURE_NAMES
+
 SEMITONES_PER_OCTAVE = 12.0
 
 
@@ -44,11 +47,19 @@ class WordFeatures(NamedTuple):
         return getattr(self, feature)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UtteranceFeatures:
+    """The retained words of one rendition, in time order.
+
+    ``words`` holds their texts. ``table`` is one read-only ``(7, n)``
+    float array with a row per ``TABLE_ROWS`` name and a column per word:
+    the word's start and end times in seconds, then its five features.
+    """
+
     speaker: str
     utterance_index: int
-    words: tuple[tuple[WordSpan, WordFeatures], ...]
+    words: tuple[str, ...]
+    table: np.ndarray
 
 
 @lru_cache(maxsize=256)
@@ -125,29 +136,33 @@ def parameterize_utterance(
 
     Words shorter than one sample step or with a single sample are dropped.
     """
-    words: list[tuple[WordSpan, WordFeatures]] = []
-    dropped = 0
+    words: list[str] = []
+    columns: list[tuple[float, ...]] = []
     windows = ingest.sample_windows(track, spans)
     for span, (i0, i1) in zip(spans, windows):
-        if i1 - i0 < 2:
-            dropped += 1
-            continue
-        words.append((span, _summarize(track.values[i0:i1], track.step)))
-    return UtteranceFeatures(speaker, utterance_index, tuple(words)), dropped
+        if i1 - i0 >= 2:
+            words.append(span.text)
+            columns.append((span.start, span.end) + _summarize(track.values[i0:i1], track.step))
+    # each row contiguous, so a contour is a plain view of the table
+    table = np.array(columns, dtype=np.float64).reshape(-1, len(TABLE_ROWS)).T.copy()
+    table.flags.writeable = False
+    utt = UtteranceFeatures(speaker, utterance_index, tuple(words), table)
+    return utt, len(spans) - len(words)
 
 
 def build_contours(utt: UtteranceFeatures) -> dict[str, np.ndarray]:
-    """One read-only contour per feature; the i-th value comes from the i-th retained word."""
+    """One contour per feature: a read-only view of its row of ``utt.table``.
+
+    The i-th value comes from the i-th retained word; nothing is copied.
+    """
     if not utt.words:
         raise ComputeError(
             f"empty utterance: no retained words for speaker {utt.speaker!r} "
             f"utterance {utt.utterance_index}"
         )
-    # one row per feature, each a contiguous read-only column of the word table
-    table = np.array([wf for _, wf in utt.words], dtype=np.float64).T.copy()
-    finite = np.isfinite(table).all(axis=1)
+    features = utt.table[2:]
+    finite = np.isfinite(features).all(axis=1)
     if not finite.all():
         name = FEATURE_NAMES[int(np.argmin(finite))]
         raise ComputeError(f"{name} contour must be non-empty and finite")
-    table.flags.writeable = False
-    return dict(zip(FEATURE_NAMES, table))
+    return dict(zip(FEATURE_NAMES, features))

@@ -2,6 +2,8 @@
 
 All loaders are pure functions of file contents and return immutable
 domain objects, so they are safe to call concurrently on distinct paths.
+They read every file as UTF-8, and any content that is not a valid file
+of its kind raises a DataError whose message starts with the file's path.
 File formats:
 
 * Manifest JSON: ``{"speakers": [{"id", "sex", "l1"}...], "dyads": [[a, b]...],
@@ -9,7 +11,8 @@ File formats:
   "imitator_align", "model_align"}...]}``. Relative paths are resolved
   against the manifest's directory at load time.
 * Alignment JSON (WhisperX-compatible subset):
-  ``{"segments": [{"words": [{"word", "start", "end"}...]}...]}``.
+  ``{"segments": [{"words": [{"word", "start", "end"}...]}...]}``, with
+  finite times in seconds.
 * F0 CSV: header ``time_s,f0_hz``; an empty or ``0`` f0 field marks an
   unvoiced sample.
 * Scores CSV: header ``speaker,rater,pronunciation,intonation,fluency,overall``.
@@ -18,6 +21,7 @@ File formats:
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -108,6 +112,29 @@ class ScoreTable:
 
 
 # ---------------------------------------------------------------------------
+# reading files
+
+
+def _decode(raw: bytes, path: Path) -> str:
+    """A file's bytes as UTF-8 text; raises ParseError naming the file."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def _load_json(path: Path):
+    """A JSON file's document; raises ParseError naming the file."""
+    text = _decode(path.read_bytes(), path)
+    try:
+        return json.loads(text)
+    # ValueError: not JSON, or an integer of more than 4300 digits;
+    # RecursionError: arrays or objects nested too deep
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{path}: not valid JSON ({exc})") from None
+
+
+# ---------------------------------------------------------------------------
 # manifest
 
 
@@ -124,6 +151,13 @@ def _require_list(doc: Mapping, key: str, path: Path) -> list:
     return value
 
 
+def _require_path(mapping: Mapping, key: str, context: str, root: Path) -> str:
+    value = _require(mapping, key, context)
+    if not isinstance(value, str) or "\0" in value:
+        raise ParseError(f"{context}: {key} must be a file path, got {value!r}")
+    return str(root / value)
+
+
 def load_manifest(path: str | Path) -> CorpusManifest:
     """Load and validate a corpus manifest JSON file.
 
@@ -132,10 +166,7 @@ def load_manifest(path: str | Path) -> CorpusManifest:
     renditions; messages name the file and the offending record.
     """
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON ({exc})") from exc
+    doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: manifest must be a JSON object")
 
@@ -191,6 +222,8 @@ def load_manifest(path: str | Path) -> CorpusManifest:
         model = str(_require(entry, "model", context))
         index = _require(entry, "index", context)
         try:
+            if isinstance(index, float) and not index.is_integer():
+                raise ValueError  # int() would truncate 1.5, or fail on inf and nan
             index = int(index)
         except (TypeError, ValueError):
             raise ParseError(f"{context} has non-integer index {index!r}") from None
@@ -215,10 +248,10 @@ def load_manifest(path: str | Path) -> CorpusManifest:
             index=index,
             imitator=imitator,
             model=model,
-            imitator_f0=str(root / _require(entry, "imitator_f0", context)),
-            model_f0=str(root / _require(entry, "model_f0", context)),
-            imitator_align=str(root / _require(entry, "imitator_align", context)),
-            model_align=str(root / _require(entry, "model_align", context)),
+            imitator_f0=_require_path(entry, "imitator_f0", context, root),
+            model_f0=_require_path(entry, "model_f0", context, root),
+            imitator_align=_require_path(entry, "imitator_align", context, root),
+            model_align=_require_path(entry, "model_align", context, root),
         )
         # each F0 file is one rendition: one (speaker, index, role) key
         for f0, rendition in (
@@ -247,10 +280,7 @@ def load_alignment(path: str | Path) -> tuple[list[WordSpan], int]:
     or out-of-order spans and ComputeError when no word carries timestamps.
     """
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON ({exc})") from exc
+    doc = _load_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("segments"), list):
         raise ParseError(f"{path}: expected an object with a 'segments' list")
 
@@ -271,10 +301,12 @@ def load_alignment(path: str | Path) -> tuple[list[WordSpan], int]:
                 continue
             try:
                 start, end = float(start), float(end)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ParseError(
                     f"{path}: word {word!r} has a non-numeric time ({start!r}..{end!r})"
                 ) from None
+            if not (math.isfinite(start) and math.isfinite(end)):
+                raise ParseError(f"{path}: word {word!r} has a non-finite time ({start}..{end})")
             if not end > start:
                 raise ValidationError(
                     f"{path}: word {word!r} has non-positive duration ({start}..{end})"
@@ -363,9 +395,10 @@ def load_f0_csv(path: str | Path) -> F0Track:
     field marks an unvoiced sample.
     """
     path = Path(path)
-    columns = _split_plain_f0(path.read_bytes())
+    raw = path.read_bytes()
+    columns = _split_plain_f0(raw)
     if columns is None:
-        columns = _split_f0_lines(path.read_text(), path)
+        columns = _split_f0_lines(_decode(raw, path), path)
     times, values = columns
 
     if times.size == 0:
@@ -416,10 +449,13 @@ def sample_windows(track: F0Track, spans: Sequence[WordSpan]) -> list[tuple[int,
     t0, step, size = track.start_time, track.step, len(track)
     # 1e-9-step slack so times printed at 6 decimals land on the intended side
     slack = 1e-9 / step
+    # clamping a time to [lo, hi] keeps the samples its window selects, and a
+    # time far outside the track cannot overflow the division
+    lo, hi = t0 - step, t0 + (size + 1) * step
     return [
         (
-            max(0, math.ceil((span.start - t0) / step - slack)),
-            min(size, math.ceil((span.end - t0) / step - slack)),
+            max(0, math.ceil((min(max(span.start, lo), hi) - t0) / step - slack)),
+            min(size, math.ceil((min(max(span.end, lo), hi) - t0) / step - slack)),
         )
         for span in spans
     ]
@@ -435,35 +471,36 @@ def load_scores(path: str | Path) -> ScoreTable:
     expected = ["speaker", "rater", *CRITERIA]
     rows: list[ScoreRow] = []
     seen: set[tuple[str, str]] = set()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    text = _decode(path.read_bytes(), path)
+    try:
+        table = list(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as exc:
+        raise ParseError(f"{path}: not CSV ({exc})") from None
+    if not table:
+        raise ParseError(f"{path}: empty scores file")
+    if [h.strip() for h in table[0]] != expected:
+        raise ParseError(f"{path}: expected header {','.join(expected)!r}")
+    for lineno, parts in enumerate(table[1:], start=2):
+        if not parts or not "".join(parts).strip():
+            continue
+        if len(parts) != 6:
+            raise ParseError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
+        speaker, rater = parts[0].strip(), parts[1].strip()
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty scores file") from None
-        if [h.strip() for h in header] != expected:
-            raise ParseError(f"{path}: expected header {','.join(expected)!r}")
-        for lineno, parts in enumerate(reader, start=2):
-            if not parts or not "".join(parts).strip():
-                continue
-            if len(parts) != 6:
-                raise ParseError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
-            speaker, rater = parts[0].strip(), parts[1].strip()
-            try:
-                scores = [float(p) for p in parts[2:]]
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            for name, value in zip(CRITERIA, scores):
-                if not SCORE_MIN <= value <= SCORE_MAX:
-                    raise ValidationError(
-                        f"{path}:{lineno}: {name} score {value} out of range "
-                        f"[{SCORE_MIN:g}, {SCORE_MAX:g}] for ({speaker}, {rater})"
-                    )
-            key = (speaker, rater)
-            if key in seen:
-                raise ValidationError(f"{path}:{lineno}: duplicate row for ({speaker}, {rater})")
-            seen.add(key)
-            rows.append(ScoreRow(speaker, rater, *scores, final=sum(scores) / 4.0))
+            scores = [float(p) for p in parts[2:]]
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        for name, value in zip(CRITERIA, scores):
+            if not SCORE_MIN <= value <= SCORE_MAX:
+                raise ValidationError(
+                    f"{path}:{lineno}: {name} score {value} out of range "
+                    f"[{SCORE_MIN:g}, {SCORE_MAX:g}] for ({speaker}, {rater})"
+                )
+        key = (speaker, rater)
+        if key in seen:
+            raise ValidationError(f"{path}:{lineno}: duplicate row for ({speaker}, {rater})")
+        seen.add(key)
+        rows.append(ScoreRow(speaker, rater, *scores, final=sum(scores) / 4.0))
     return ScoreTable(tuple(rows))
 
 

@@ -53,6 +53,12 @@ CHOICES = {
 }
 
 
+def check_level(name: str, value: float) -> None:
+    """Raise ValueError unless a significance level or trend threshold is in (0, 1)."""
+    if not 0 < value < 1:
+        raise ValueError(f"{name} must be in (0, 1), got {value}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Reproducible configuration of a pipeline run."""
@@ -80,8 +86,7 @@ class RunConfig:
             if value not in allowed:
                 raise ValueError(f"{name} must be one of {', '.join(allowed)}, got {value!r}")
         for name in ("alpha", "trend"):
-            if not 0 < getattr(self, name) < 1:
-                raise ValueError(f"{name} must be in (0, 1), got {getattr(self, name)}")
+            check_level(name, getattr(self, name))
         if self.semitone is not None and not 0 < self.semitone < math.inf:
             raise ValueError(f"semitone must be a finite reference > 0 Hz, got {self.semitone}")
         SmoothingConfig(self.window, self.order)
@@ -107,6 +112,12 @@ class Rendition:
 
 @dataclass
 class ProcessedCorpus:
+    """Every rendition's retained words, keyed by (speaker, index, role) in rendition order.
+
+    ``contours`` holds views of the ``utterances`` tables, so each word's
+    numbers are kept once.
+    """
+
     utterances: dict[tuple[str, int, str], UtteranceFeatures]
     contours: dict[tuple[str, int, str], dict[str, np.ndarray]]
     dropped_words: int = 0
@@ -216,14 +227,13 @@ def _bool(b: bool) -> str:
 
 
 def write_features_csv(processed: ProcessedCorpus, path: str | Path) -> None:
-    lines = ["speaker,utterance,word_index,word,start_s,end_s,mean,median,slope,range,drop"]
-    row = "%s,%d,%d,%s" + ",%.6f" * 7
-    for utt in processed.utterances.values():  # in rendition order
-        lines.extend(
-            row % (utt.speaker, utt.utterance_index, word_index, span.text, span.start, span.end, *wf)
-            for word_index, (span, wf) in enumerate(utt.words)
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    """One row per retained word, written as it is formatted."""
+    row = "%s,%d,%d,%s" + ",%.6f" * 7 + "\n"
+    with open(path, "w") as fh:
+        fh.write("speaker,utterance,word_index,word,start_s,end_s,mean,median,slope,range,drop\n")
+        for utt in processed.utterances.values():  # in rendition order
+            for word_index, (word, values) in enumerate(zip(utt.words, utt.table.T.tolist())):
+                fh.write(row % (utt.speaker, utt.utterance_index, word_index, word, *values))
 
 
 def write_samples_csv(measurement: CorpusMeasurement, path: str | Path) -> None:

@@ -123,6 +123,33 @@ def test_bad_run_option_rejected_before_input(tmp_path, capsys, flags, config, n
 
 
 @pytest.mark.parametrize(
+    "command, flags, named",
+    [
+        (["grid", "--entrain", "e.csv", "--scores", "s.csv"], ["--alpha", "nan"],
+         "alpha must be in (0, 1), got nan"),
+        (["grid", "--entrain", "e.csv", "--scores", "s.csv"], ["--trend", "1"],
+         "trend must be in (0, 1), got 1.0"),
+        (["stats", "ttest", "--csv", "v.csv", "--x", "a", "--y", "b"], ["--alpha", "7"],
+         "alpha must be in (0, 1), got 7.0"),
+        (["stats", "ttest", "--csv", "v.csv", "--x", "a", "--y", "b"], ["--trend", "-0.1"],
+         "trend must be in (0, 1), got -0.1"),
+        (["stats", "pearson", "--csv", "v.csv", "--x", "a", "--y", "b"], ["--alpha", "0"],
+         "alpha must be in (0, 1), got 0.0"),
+        (["stats", "icc", "--scores", "s.csv"], ["--alpha", "-1"],
+         "alpha must be in (0, 1), got -1.0"),
+    ],
+    ids=["grid-nan-alpha", "grid-trend-1", "ttest-alpha-7", "ttest-negative-trend",
+         "pearson-zero-alpha", "icc-negative-alpha"],
+)
+def test_bad_level_rejected_before_input(tmp_path, monkeypatch, capsys, command, flags, named):
+    # no input file exists: reading one would exit 2, not 1
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, *flags, "--out", "out.csv"]) == 1
+    assert capsys.readouterr().err == f"error: bad option: {named}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
     "doc, key",
     [({"window": 8.9}, "window"), ({"from_wav": "maybe"}, "from_wav"), ({"window": True}, "window")],
     ids=["int-given-float", "bool-given-text", "int-given-bool"],

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 from f0entrain.errors import ComputeError
 from f0entrain.features import (
     FEATURE_NAMES,
+    TABLE_ROWS,
     build_contours,
     parameterize_utterance,
     to_semitones,
@@ -198,7 +199,9 @@ def test_parameterize_equals_per_word_reference(case):
     utt, dropped = parameterize_utterance(track, spans, "S", 0)
     expected, expected_dropped = parameterize_by_slicing(track, spans)
     assert dropped == expected_dropped
-    assert [(span, tuple(wf)) for span, wf in utt.words] == expected
+    assert utt.words == tuple(span.text for span, _ in expected)
+    # exact floats: each column is the word's times, then its features
+    assert utt.table.T.tolist() == [[span.start, span.end, *wf] for span, wf in expected]
 
 
 def test_semitone_conversion():
@@ -223,6 +226,20 @@ def test_contours_two_words():
     assert not any(c.flags.writeable for c in contours.values())
 
 
+def test_table_is_read_only_and_contours_are_views_of_it():
+    track = make_track(np.linspace(100, 160, 60), step=0.01)
+    spans = [WordSpan("a", 0.0, 0.2), WordSpan("b", 0.2, 0.4), WordSpan("c", 0.4, 0.6)]
+    utt, _ = parameterize_utterance(track, spans, "S", 0)
+    assert utt.table.shape == (len(TABLE_ROWS), 3)
+    assert not utt.table.flags.writeable
+    with pytest.raises(ValueError):
+        utt.table[2, 0] = 0.0
+    for name, contour in build_contours(utt).items():
+        assert np.shares_memory(contour, utt.table)
+        assert not contour.flags.writeable
+        assert contour.tolist() == utt.table[TABLE_ROWS.index(name)].tolist()
+
+
 def test_contours_single_word():
     track = make_track(np.linspace(100, 120, 30), step=0.01)
     utt, _ = parameterize_utterance(track, [WordSpan("a", 0.0, 0.3)], "S", 0)
@@ -239,7 +256,8 @@ def test_short_word_dropped_consistently():
     ]
     utt, dropped = parameterize_utterance(track, spans, "S", 0)
     assert dropped == 1
-    assert [span.text for span, _ in utt.words] == ["a", "c"]
+    assert utt.words == ("a", "c")
+    assert utt.table[:2].tolist() == [[0.0, 0.21], [0.2, 0.4]]
     contours = build_contours(utt)
     lengths = {len(c) for c in contours.values()}
     assert lengths == {2}

@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from f0entrain import ingest
-from f0entrain.errors import ComputeError, ParseError, ValidationError
+from f0entrain.errors import ComputeError, DataError, ParseError, ValidationError
 from f0entrain.types import WordSpan
 
 from conftest import make_track, minimal_manifest_doc, write_manifest_doc
@@ -467,3 +468,143 @@ def test_scores_round_trip(tmp_path):
     for a, b in zip(table.rows, again.rows):
         assert a.speaker == b.speaker and a.rater == b.rater
         assert a.final == pytest.approx(b.final, abs=1e-9)
+
+
+def test_far_out_word_times_select_the_whole_track():
+    track = make_track(100 + np.arange(100, dtype=float), step=0.01)
+    spans = [WordSpan("w", -1e308, 1e308), WordSpan("x", 1e300, 1e301)]
+    windows = ingest.sample_windows(track, spans)
+    assert windows[0] == (0, len(track))
+    assert windows[1][1] <= windows[1][0]
+
+
+# ---------------------------------------------------------------------------
+# any input: a value, or a DataError that names the file
+
+ALIGNMENT_DOC = {"segments": [{"words": [
+    {"word": "a", "start": 0.1, "end": 0.2}, {"word": "b", "start": 0.2, "end": 0.3},
+]}]}
+SCORES_HEADER = "speaker,rater,pronunciation,intonation,fluency,overall\n"
+
+
+@pytest.mark.parametrize("load, name", [
+    (ingest.load_manifest, "manifest.json"),
+    (ingest.load_alignment, "a.json"),
+    (ingest.load_scores, "scores.csv"),
+    (ingest.load_f0_csv, "f.csv"),
+])
+def test_non_utf8_input_names_file(tmp_path, load, name):
+    path = tmp_path / name
+    path.write_bytes(b"time_s,f0_hz\n0.0,1\xff0\n")
+    with pytest.raises(ParseError, match=re.escape(f"{path}: not UTF-8 text")):
+        load(path)
+
+
+@pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN", "1.5", "1e400", "[0]"])
+def test_non_integer_json_index_rejected(tmp_path, text):
+    path = tmp_path / "manifest.json"
+    doc = json.dumps(minimal_manifest_doc()).replace('"index": 0', f'"index": {text}', 1)
+    path.write_text(doc)
+    with pytest.raises(ParseError, match=re.escape(f"{path}: utterances[0] has non-integer index")):
+        ingest.load_manifest(path)
+
+
+@pytest.mark.parametrize("value", [3, None, ["f0/a.csv"], "f0/a\0.csv"])
+def test_file_field_not_a_path_rejected(tmp_path, value):
+    doc = minimal_manifest_doc()
+    doc["utterances"][1]["imitator_f0"] = value
+    path = write_manifest_doc(doc, tmp_path)
+    with pytest.raises(
+        ParseError, match=re.escape(f"{path}: utterances[1]: imitator_f0 must be a file path")
+    ):
+        ingest.load_manifest(path)
+
+
+@pytest.mark.parametrize("load", [ingest.load_manifest, ingest.load_alignment])
+def test_deeply_nested_json_names_file(tmp_path, load):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ParseError, match=re.escape(f"{path}: not valid JSON")):
+        load(path)
+
+
+@pytest.mark.parametrize("end", ["Infinity", "1e400", "NaN", "-Infinity"])
+def test_non_finite_word_time_rejected(tmp_path, end):
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(ALIGNMENT_DOC).replace('"end": 0.3', f'"end": {end}'))
+    with pytest.raises(ParseError, match=re.escape(f"{path}: word 'b' has a non-finite time")):
+        ingest.load_alignment(path)
+
+
+def test_huge_integer_word_time_names_file(tmp_path):
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(ALIGNMENT_DOC).replace('"end": 0.3', '"end": 1' + "0" * 400))
+    with pytest.raises(ParseError, match=re.escape(f"{path}: word 'b' has a non-numeric time")):
+        ingest.load_alignment(path)
+
+
+def test_scores_field_over_csv_limit_names_file(tmp_path):
+    path = _scores_csv(tmp_path, '"' + "x" * 200_000 + '",R1,4,3,5,4\n')
+    with pytest.raises(ParseError, match=re.escape(f"{path}: not CSV")):
+        ingest.load_scores(path)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` with one value at a random depth replaced by an arbitrary JSON value."""
+    doc = node = copy.deepcopy(doc)
+    while True:
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        if isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+            node = node[key]
+            continue
+        node[key] = draw(JSON_VALUES)
+        return doc
+
+
+def json_files(doc):
+    """Bytes of a JSON file: ``doc`` mutated (NaN and Infinity included), or any bytes."""
+    return st.one_of(
+        mutated(doc).map(lambda d: json.dumps(d).encode()),
+        st.binary(max_size=80),
+        st.text(max_size=80).map(str.encode),
+    )
+
+
+SCORE_FIELDS = st.sampled_from(["S1", "R1", "3", "4.5", "9", "nan", "inf", "", '"', "x"])
+SCORES_FILES = st.one_of(
+    st.lists(st.lists(SCORE_FIELDS, max_size=7).map(",".join), max_size=4).map(
+        lambda rows: (SCORES_HEADER + "\n".join(rows)).encode()
+    ),
+    st.binary(max_size=80),
+    st.text(max_size=80).map(lambda text: (SCORES_HEADER + text).encode()),
+)
+
+
+def _value_or_named_error(load, path):
+    try:
+        load(path)
+    except DataError as exc:
+        assert str(exc).startswith(f"{path}:"), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        json_files(minimal_manifest_doc()).map(lambda raw: (ingest.load_manifest, raw)),
+        json_files(ALIGNMENT_DOC).map(lambda raw: (ingest.load_alignment, raw)),
+        SCORES_FILES.map(lambda raw: (ingest.load_scores, raw)),
+    )
+)
+def test_any_loader_input_gives_a_value_or_a_named_error(tmp_path_factory, case):
+    load, raw = case
+    path = tmp_path_factory.mktemp("fuzz") / "input"
+    path.write_bytes(raw)
+    _value_or_named_error(load, path)
