@@ -13,10 +13,9 @@ rejects).
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 import typing
+from contextlib import contextmanager
 from pathlib import Path
 
 from f0entrain import __version__, ingest, pipeline, stats, synth
@@ -36,12 +35,9 @@ _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no"
 def load_config_file(path: str | Path) -> dict:
     """Read pipeline options from flat key=value text or a run.json."""
     path = Path(path)
-    text = path.read_text()
+    text = ingest.read_utf8(path)
     if path.suffix == ".json" or text.lstrip().startswith("{"):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: not valid JSON ({exc})") from None
+        doc = ingest.parse_json(text, path)
         raw = doc.get("config", doc) if isinstance(doc, dict) else doc
         if not isinstance(raw, dict):
             raise ParseError(f"{path}: expected a JSON object of options")
@@ -64,7 +60,7 @@ def load_config_file(path: str | Path) -> dict:
             raise ParseError(f"{path}: unknown config key {key!r}")
         try:
             out[key] = _coerce(CONFIG_TYPES[key], value)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # OverflowError: a JSON int beyond float
             raise ParseError(f"{path}: bad value for {key!r} ({exc})") from None
     return out
 
@@ -118,10 +114,18 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         raise ParseError("a corpus manifest is required (--manifest or config file)")
     if values.get("out") is None:
         raise ParseError("an output path is required (--out or config file)")
-    try:
+    with _reraised("bad run option", (ValueError, ValidationError), ParseError):
         return RunConfig(**values)
-    except (ValueError, ValidationError) as exc:
-        raise ParseError(f"bad run option: {exc}") from None
+
+
+@contextmanager
+def _reraised(prefix: str, caught: type[Exception] | tuple[type[Exception], ...],
+              raised: type[DataError]):
+    """Re-raise a ``caught`` error as ``raised``, its message after ``prefix: ``."""
+    try:
+        yield
+    except caught as exc:
+        raise raised(f"{prefix}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +134,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 
 def cmd_synth(args) -> int:
     # every option is checked before anything is written
-    try:
+    with _reraised("synth", ValueError, ComputeError):
         config = synth.SynthConfig(
             n_dyads=args.dyads,
             n_utterances=args.utts,
@@ -141,8 +145,6 @@ def cmd_synth(args) -> int:
         )
         if args.scores_coupling is not None:
             synth.check_score_options(args.scores_coupling, args.scores_noise)
-    except ValueError as exc:
-        raise ComputeError(f"synth: {exc}") from None
     if args.scores_coupling is not None and args.eps == 0:
         raise ComputeError(
             "--scores-coupling needs --eps > 0: with --eps 0 every imitation equals "
@@ -166,8 +168,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    track = ingest.load_f0_csv(args.input)
-    cleaned = clean_track(track, SmoothingConfig(args.window, args.order))
+    with _reraised("bad option", ValueError, ParseError):
+        smoothing = SmoothingConfig(args.window, args.order)
+    cleaned = clean_track(ingest.load_f0_csv(args.input), smoothing)
     ingest.write_f0_csv(cleaned, args.output)
     return 0
 
@@ -186,11 +189,11 @@ PIPELINE_COMMANDS = {
 
 
 def cmd_pipeline(args) -> int:
-    bundle = pipeline.run_pipeline(build_run_config(args), args.files)
-    for message in bundle.warnings:
+    config = build_run_config(args)
+    for message in pipeline.run_pipeline(config, args.files):
         print(f"warning: {message}", file=sys.stderr)
     if args.command == "run":
-        print(f"wrote bundle: {bundle.out} ({', '.join(bundle.files)})")
+        print(f"wrote bundle: {Path(config.out)} ({', '.join(args.files)})")
     return 0
 
 
@@ -199,28 +202,26 @@ def cmd_pipeline(args) -> int:
 
 def _check_levels(args) -> None:
     """The command's ``--alpha`` and ``--trend``, checked before any input is read."""
-    for name in ("alpha", "trend"):
-        if hasattr(args, name):
-            try:
+    with _reraised("bad option", ValueError, ParseError):
+        for name in ("alpha", "trend"):
+            if hasattr(args, name):
                 pipeline.check_level(name, getattr(args, name))
-            except ValueError as exc:
-                raise ParseError(f"bad option: {exc}") from None
 
 
-def _read_csv_columns(path: str) -> list[dict]:
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
-def _data_rows(path: str, *columns: str) -> list[dict]:
-    """Rows of a CSV file that has data rows and every named column."""
-    rows = _read_csv_columns(path)
+def _data_rows(path: str, *columns: str) -> list[tuple[int, dict[str, str]]]:
+    """(line number, row) of each data row of a CSV file that has every named column."""
+    header, rows = ingest.read_csv_table(path)
     if not rows:
         raise ParseError(f"{path}: no data rows")
     for col in columns:
-        if col not in rows[0]:
+        if col not in header:
             raise ParseError(f"{path}: no column {col!r}")
-    return rows
+    return [(lineno, dict(zip(header, parts))) for lineno, parts in rows]
+
+
+def _numbers(path: str, rows, column: str) -> list[float]:
+    """A column of ``_data_rows`` rows, each cell a finite number."""
+    return [ingest.csv_number(row[column], path, lineno, column) for lineno, row in rows]
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -233,17 +234,14 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_stats_ttest(args) -> int:
     _check_levels(args)
     rows = _data_rows(args.csv, args.x, args.y, *filter(None, [args.by]))
-    groups: dict[str, list[dict]] = {}
-    if args.by:
-        for row in rows:
-            groups.setdefault(row[args.by], []).append(row)
-    else:
-        groups["all"] = rows
+    groups: dict[str, list] = {}
+    for lineno, row in rows:
+        groups.setdefault(row[args.by] if args.by else "all", []).append((lineno, row))
     lines = ["group,t,df,p_value,p_one_sided,significant,trend"]
-    for name in groups:
-        x = [float(r[args.x]) for r in groups[name]]
-        y = [float(r[args.y]) for r in groups[name]]
-        res = stats.paired_t_test(x, y, alpha=args.alpha, trend=args.trend)
+    for name, group in groups.items():
+        x, y = _numbers(args.csv, group, args.x), _numbers(args.csv, group, args.y)
+        with _reraised(f"{args.csv}: group {name}", ComputeError, ComputeError):
+            res = stats.paired_t_test(x, y, alpha=args.alpha, trend=args.trend)
         lines.append(
             f"{name},{res.statistic:.6g},{res.df:g},{res.p_value:.3g},"
             f"{stats.one_sided_p(res):.3g},"
@@ -256,9 +254,9 @@ def cmd_stats_ttest(args) -> int:
 def cmd_stats_pearson(args) -> int:
     _check_levels(args)
     rows = _data_rows(args.csv, args.x, args.y)
-    x = [float(r[args.x]) for r in rows]
-    y = [float(r[args.y]) for r in rows]
-    res = stats.pearson(x, y, alpha=args.alpha, trend=args.trend)
+    x, y = _numbers(args.csv, rows, args.x), _numbers(args.csv, rows, args.y)
+    with _reraised(args.csv, ComputeError, ComputeError):
+        res = stats.pearson(x, y, alpha=args.alpha, trend=args.trend)
     text = (
         "r,df,p_value,n,significant,trend\n"
         f"{res.statistic:.6g},{res.df:g},{res.p_value:.3g},{len(x)},"
@@ -296,24 +294,20 @@ def cmd_stats_icc(args) -> int:
 
 
 def _entrain_table(path: str, measure: str) -> dict[str, dict[str, float]]:
+    # an empty e_opt: every sample of that speaker and feature was an outlier
+    rows = [(n, row) for n, row in _data_rows(path, "speaker", "feature", measure) if row[measure]]
     table: dict[str, dict[str, float]] = {}
-    for row in _read_csv_columns(path):
-        try:
-            # an empty e_opt: every sample of that speaker and feature was an outlier
-            if row[measure] != "":
-                table.setdefault(row["speaker"], {})[row["feature"]] = float(row[measure])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: expected speaker/feature/{measure} columns ({exc})")
+    for (_, row), value in zip(rows, _numbers(path, rows, measure)):
+        table.setdefault(row["speaker"], {})[row["feature"]] = value
     return table
 
 
 def cmd_grid(args) -> int:
     _check_levels(args)
     table = _entrain_table(args.entrain, args.measure)
-    scores = ingest.load_scores(args.scores)
-    cells = stats.correlate_grid(
-        table, scores.speaker_means(), alpha=args.alpha, trend=args.trend
-    )
+    scores = ingest.load_scores(args.scores).speaker_means()
+    with _reraised(f"{args.entrain} with {args.scores}", ComputeError, ComputeError):
+        cells = stats.correlate_grid(table, scores, alpha=args.alpha, trend=args.trend)
     pipeline.write_grid_csv(cells, args.out)
     return 0
 

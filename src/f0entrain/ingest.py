@@ -4,6 +4,9 @@ All loaders are pure functions of file contents and return immutable
 domain objects, so they are safe to call concurrently on distinct paths.
 They read every file as UTF-8, and any content that is not a valid file
 of its kind raises a DataError whose message starts with the file's path.
+The command line's own input files (``--config``, ``stats --csv``, ``grid
+--entrain``) go through the same readers: ``read_utf8``, ``parse_json``,
+``read_csv_table`` and ``csv_number``.
 File formats:
 
 * Manifest JSON: ``{"speakers": [{"id", "sex", "l1"}...], "dyads": [[a, b]...],
@@ -115,7 +118,7 @@ class ScoreTable:
 # reading files
 
 
-def _decode(raw: bytes, path: Path) -> str:
+def _decode(raw: bytes, path: str | Path) -> str:
     """A file's bytes as UTF-8 text; raises ParseError naming the file."""
     try:
         return raw.decode("utf-8")
@@ -123,15 +126,51 @@ def _decode(raw: bytes, path: Path) -> str:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def _load_json(path: Path):
-    """A JSON file's document; raises ParseError naming the file."""
-    text = _decode(path.read_bytes(), path)
+def read_utf8(path: str | Path) -> str:
+    """A file's text, read as UTF-8; raises ParseError naming the file."""
+    return _decode(Path(path).read_bytes(), path)
+
+
+def parse_json(text: str, path: str | Path):
+    """The JSON document in a file's text; raises ParseError naming the file."""
     try:
         return json.loads(text)
     # ValueError: not JSON, or an integer of more than 4300 digits;
     # RecursionError: arrays or objects nested too deep
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: not valid JSON ({exc})") from None
+
+
+def read_csv_table(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """A CSV file's header and its non-blank rows, each with its line number.
+
+    Raises ParseError naming the file if it is not UTF-8, not CSV or empty,
+    and naming the line if a row's field count differs from the header's.
+    """
+    reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
+    try:
+        table = [(reader.line_num, parts) for parts in reader]
+    except csv.Error as exc:
+        raise ParseError(f"{path}: not CSV ({exc})") from None
+    if not table:
+        raise ParseError(f"{path}: empty file")
+    header = table[0][1]
+    rows = [(lineno, parts) for lineno, parts in table[1:] if "".join(parts).strip()]
+    for lineno, parts in rows:
+        if len(parts) != len(header):
+            raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, got {len(parts)}")
+    return header, rows
+
+
+def csv_number(text: str, path: str | Path, lineno: int, column: str) -> float:
+    """A CSV cell as a finite number; raises ParseError naming the file, line and column."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ParseError(f"{path}:{lineno}: {column}: expected a finite number, got {text!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +205,7 @@ def load_manifest(path: str | Path) -> CorpusManifest:
     renditions; messages name the file and the offending record.
     """
     path = Path(path)
-    doc = _load_json(path)
+    doc = parse_json(read_utf8(path), path)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: manifest must be a JSON object")
 
@@ -280,7 +319,7 @@ def load_alignment(path: str | Path) -> tuple[list[WordSpan], int]:
     or out-of-order spans and ComputeError when no word carries timestamps.
     """
     path = Path(path)
-    doc = _load_json(path)
+    doc = parse_json(read_utf8(path), path)
     if not isinstance(doc, dict) or not isinstance(doc.get("segments"), list):
         raise ParseError(f"{path}: expected an object with a 'segments' list")
 
@@ -471,25 +510,12 @@ def load_scores(path: str | Path) -> ScoreTable:
     expected = ["speaker", "rater", *CRITERIA]
     rows: list[ScoreRow] = []
     seen: set[tuple[str, str]] = set()
-    text = _decode(path.read_bytes(), path)
-    try:
-        table = list(csv.reader(io.StringIO(text, newline="")))
-    except csv.Error as exc:
-        raise ParseError(f"{path}: not CSV ({exc})") from None
-    if not table:
-        raise ParseError(f"{path}: empty scores file")
-    if [h.strip() for h in table[0]] != expected:
+    header, table = read_csv_table(path)
+    if [h.strip() for h in header] != expected:
         raise ParseError(f"{path}: expected header {','.join(expected)!r}")
-    for lineno, parts in enumerate(table[1:], start=2):
-        if not parts or not "".join(parts).strip():
-            continue
-        if len(parts) != 6:
-            raise ParseError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
+    for lineno, parts in table:
         speaker, rater = parts[0].strip(), parts[1].strip()
-        try:
-            scores = [float(p) for p in parts[2:]]
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        scores = [csv_number(p, path, lineno, c) for c, p in zip(CRITERIA, parts[2:])]
         for name, value in zip(CRITERIA, scores):
             if not SCORE_MIN <= value <= SCORE_MAX:
                 raise ValidationError(

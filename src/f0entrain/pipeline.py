@@ -441,15 +441,8 @@ BUNDLE = {
 }
 
 
-@dataclass(frozen=True)
-class RunBundle:
-    out: Path
-    files: tuple[str, ...]
-    warnings: tuple[str, ...]
-
-
-def run_pipeline(config: RunConfig, files: Sequence[str] = tuple(BUNDLE)) -> RunBundle:
-    """Run the stages that ``files`` need and write those bundle files.
+def run_pipeline(config: RunConfig, files: Sequence[str] = tuple(BUNDLE)) -> list[str]:
+    """Run the stages that ``files`` need, write those bundle files and return the warnings.
 
     A single file is written at ``config.out``; several go into the
     ``config.out`` directory.
@@ -460,4 +453,4 @@ def run_pipeline(config: RunConfig, files: Sequence[str] = tuple(BUNDLE)) -> Run
     stages = run_stages(config, {need for name in files for need in BUNDLE[name][0]})
     for name in files:
         BUNDLE[name][1](stages, out / name if len(files) > 1 else out)
-    return RunBundle(out, tuple(files), tuple(stages.processed.warnings()))
+    return stages.processed.warnings()

@@ -154,6 +154,7 @@ def f_ppf(q: float, df1: float, df2: float) -> float:
     return df2 * x / (df1 * (1.0 - x))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises ComputeError instead
 def paired_t_test(
     x: Sequence[float],
     y: Sequence[float],
@@ -172,6 +173,8 @@ def paired_t_test(
     sd = float(d.std(ddof=1))
     if sd == 0.0:
         raise ComputeError("zero variance: all paired differences are equal")
+    if not math.isfinite(sd):
+        raise ComputeError("paired differences overflow float64")
     t = float(d.mean()) / (sd / math.sqrt(n))
     p = t_sf(t, n - 1)
     sig, trd = _flags(p, alpha, trend)
@@ -184,6 +187,7 @@ def one_sided_p(result: TestResult) -> float:
     return half if result.statistic <= 0 else 1.0 - half
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a value out of range raises ComputeError instead
 def pearson(
     x: Sequence[float],
     y: Sequence[float],
@@ -204,7 +208,10 @@ def pearson(
     syy = float(np.dot(dy, dy))
     if sxx == 0.0 or syy == 0.0:
         raise ComputeError("zero variance in correlation input")
-    r = float(np.dot(dx, dy)) / math.sqrt(sxx * syy)
+    scale = math.sqrt(sxx * syy)
+    if not 0.0 < scale < math.inf:
+        raise ComputeError("correlation input overflows or underflows float64")
+    r = float(np.dot(dx, dy)) / scale
     r = max(-1.0, min(1.0, r))
     if abs(r) == 1.0:
         p = 0.0

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
@@ -109,3 +111,32 @@ def write_manifest_doc(doc: dict, tmp_path: Path) -> Path:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` with one value at a random depth replaced by an arbitrary JSON value."""
+    doc = node = copy.deepcopy(doc)
+    while True:
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        if isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+            node = node[key]
+            continue
+        node[key] = draw(JSON_VALUES)
+        return doc
+
+
+def json_files(doc):
+    """Bytes of a JSON file: ``doc`` mutated (NaN and Infinity included), or any bytes."""
+    return st.one_of(
+        mutated(doc).map(lambda d: json.dumps(d).encode()),
+        st.binary(max_size=80),
+        st.text(max_size=80).map(str.encode),
+    )

@@ -1,22 +1,26 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from f0entrain import ingest, pipeline, stats, synth
 from f0entrain.cli import CONFIG_TYPES, build_parser, load_config_file, main
-from f0entrain.errors import ParseError
+from f0entrain.errors import DataError, ParseError
 from f0entrain.pitch import Wave, write_wav
 from f0entrain.stats import GridCell
 
-from conftest import PACKAGE_ROOT, render_wavs, run_cli
+from conftest import PACKAGE_ROOT, json_files, render_wavs, run_cli
 
 
 @pytest.fixture(scope="module")
@@ -665,3 +669,134 @@ def test_grid_from_entrain_csv_skips_empty_e_opt(outlier_run, tmp_path):
     assert [row[:2] + row[3:] for row in got] == [row[:2] + row[3:] for row in want]
     assert np.allclose([float(row[2]) for row in got[1:]],
                        [float(row[2]) for row in want[1:]], rtol=0, atol=1e-5)
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [(["--window", "8"], "window must be a positive odd integer, got 8"),
+     (["--order", "9"], "order must satisfy 0 <= order < window, got 9")],
+    ids=["even-window", "order-over-window"],
+)
+def test_bad_preprocess_option_rejected_before_input(tmp_path, capsys, flags, named):
+    # the input does not exist: reading it would exit 2, not 1
+    out = tmp_path / "clean.csv"
+    assert main(["preprocess", str(tmp_path / "absent.csv"), str(out), *flags]) == 1
+    assert capsys.readouterr().err == f"error: bad option: {named}\n"
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# the CLI's --config, --csv and --entrain files: a result, or an error that names the file
+
+SCORES_TEXT = "speaker,rater,pronunciation,intonation,fluency,overall\n" + "".join(
+    f"S{s},R{r},{1 + (s * r) % 4},{1 + (s + r) % 4},{1 + s % 4},{1 + r % 4}\n"
+    for s in range(1, 5) for r in range(1, 3)
+)
+BAD_INPUTS = {
+    "ttest-not-utf8": (["stats", "ttest", "--csv", "{}", "--x", "a", "--y", "b"], "in.csv",
+                       b"a,b\n1,\xff\n", ": not UTF-8 text"),
+    "grid-not-utf8": (["grid", "--entrain", "{}", "--scores", "s.csv", "--out", "g.csv"],
+                      "in.csv", b"a,b\n1,\xff\n", ": not UTF-8 text"),
+    "config-not-utf8": (["run", "--config", "{}"], "in.cfg", b"window=\xff\n", ": not UTF-8 text"),
+    "ttest-non-numeric": (["stats", "ttest", "--csv", "{}", "--x", "a", "--y", "b"], "in.csv",
+                          b"a,b\n1,x\n", ":2: b: expected a finite number, got 'x'"),
+    "pearson-short-row": (["stats", "pearson", "--csv", "{}", "--x", "a", "--y", "b"], "in.csv",
+                          b"a,b\n1\n", ":2: expected 2 fields, got 1"),
+    "config-deep-json": (["run", "--config", "{}"], "in.json", b"[" * 100_000, ": not valid JSON"),
+    "config-big-int": (["run", "--config", "{}"], "in.json", b'{"window": ' + b"1" * 5000 + b"}",
+                       ": not valid JSON"),
+    "pearson-inf": (["stats", "pearson", "--csv", "{}", "--x", "a", "--y", "b"], "in.csv",
+                    b"a,b\n1,2\n2,inf\n3,4\n", ":3: b: expected a finite number, got 'inf'"),
+    "pearson-overflow": (["stats", "pearson", "--csv", "{}", "--x", "a", "--y", "b"], "in.csv",
+                         b"a,b\n1e308,1\n-1e308,2\n0,4\n",
+                         ": correlation input overflows or underflows float64"),
+    "grid-nan-e-opt": (["grid", "--entrain", "{}", "--scores", "s.csv", "--out", "g.csv"],
+                       "in.csv", b"speaker,feature,e_opt\nS1,mean,nan\n",
+                       ":2: e_opt: expected a finite number, got 'nan'"),
+    "ttest-one-pair": (["stats", "ttest", "--csv", "{}", "--x", "a", "--y", "b"], "in.csv",
+                       b"a,b\n1,2\n", ": group all: paired t-test needs at least 2 pairs"),
+    "grid-no-overlap": (["grid", "--entrain", "{}", "--scores", "s.csv", "--out", "g.csv"],
+                        "in.csv", b"speaker,feature,e_opt\nX1,mean,1\n",
+                        " with s.csv: insufficient overlap: only 0 speakers in both tables"),
+}
+
+
+@pytest.mark.parametrize("argv, name, raw, named", BAD_INPUTS.values(), ids=BAD_INPUTS)
+def test_bad_cli_input_file_names_it(tmp_path, monkeypatch, capsys, argv, name, raw, named):
+    monkeypatch.chdir(tmp_path)
+    Path("s.csv").write_text(SCORES_TEXT)
+    Path(name).write_bytes(raw)
+    assert main([arg.format(name) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name}{named}") and err.count("\n") == 1, err
+
+
+def _result_or_named_error(argv: list[str], path: Path) -> None:
+    """``main(argv)`` exits 0 quietly, or exits 1 with one error line naming ``path``."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would print to stderr
+        code = main([str(arg) for arg in argv])
+    assert (code, err.getvalue()) == (0, "") or (
+        code == 1 and err.getvalue().startswith(f"error: {path}")
+    ), (code, err.getvalue())
+
+
+CONFIG_TEXT = st.lists(
+    st.tuples(
+        st.sampled_from([*CONFIG_TYPES, "quantile_convention", "threads", " window ", ""]),
+        st.sampled_from(["7", "8.9", "yes", "none", "", "se", "1e400", "1" * 5000, "x", "-1"]),
+    ).map("=".join) | st.text(max_size=10),
+    max_size=5,
+).map(lambda lines: "\n".join(lines).encode())
+GOLDEN_RUN_JSON = json.loads((Path(__file__).parent / "golden_options" / "run.json").read_text())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(CONFIG_TEXT, json_files(GOLDEN_RUN_JSON)), st.sampled_from(["run.cfg", "run.json"]))
+def test_any_config_file_gives_options_or_a_named_error(tmp_path_factory, raw, name):
+    path = tmp_path_factory.mktemp("fuzz") / name
+    path.write_bytes(raw)
+    try:
+        load_config_file(path)
+    except DataError as exc:
+        assert str(exc).startswith(f"{path}:"), str(exc)
+
+
+CELLS = ["1", "2.5", "-3", "0", "1e308", "-1e308", "1e-170", "nan", "inf", "", "x", '"', "S1",
+         "S2", "S3", "mean", "slope"]
+
+
+def csv_files(columns: list[str]):
+    """Bytes of a CSV file: a header of ``columns`` (or of drawn names) over rows of
+    drawn cells, or any bytes."""
+    header = st.just(columns) | st.lists(st.sampled_from(columns), max_size=4)
+    rows = st.lists(st.lists(st.sampled_from(CELLS), max_size=len(columns) + 1), max_size=6)
+    return st.one_of(
+        st.tuples(header, rows).map(
+            lambda table: "\n".join(",".join(row) for row in [table[0], *table[1]]).encode()
+        ),
+        st.binary(max_size=80),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(csv_files(["a", "b", "g"]), st.booleans())
+def test_any_stats_csv_gives_a_result_or_a_named_error(tmp_path_factory, raw, by):
+    root = tmp_path_factory.mktemp("fuzz")
+    path = root / "in.csv"
+    path.write_bytes(raw)
+    argv = ["stats", "ttest", "--csv", path, "--x", "a", "--y", "b", "--out", root / "t.csv"]
+    _result_or_named_error(argv + ["--by", "g"] * by, path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(csv_files(["speaker", "feature", "e_opt"]))
+def test_any_entrain_csv_gives_a_grid_or_a_named_error(tmp_path_factory, raw):
+    root = tmp_path_factory.mktemp("fuzz")
+    path, scores = root / "entrain.csv", root / "scores.csv"
+    path.write_bytes(raw)
+    scores.write_text(SCORES_TEXT)
+    _result_or_named_error(
+        ["grid", "--entrain", path, "--scores", scores, "--out", root / "grid.csv"], path
+    )

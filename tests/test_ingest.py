@@ -1,4 +1,3 @@
-import copy
 import json
 import re
 
@@ -10,7 +9,7 @@ from f0entrain import ingest
 from f0entrain.errors import ComputeError, DataError, ParseError, ValidationError
 from f0entrain.types import WordSpan
 
-from conftest import make_track, minimal_manifest_doc, write_manifest_doc
+from conftest import json_files, make_track, minimal_manifest_doc, write_manifest_doc
 from oracles import load_f0_csv_by_lines, write_f0_csv_by_rows
 
 
@@ -549,35 +548,6 @@ def test_scores_field_over_csv_limit_names_file(tmp_path):
         ingest.load_scores(path)
 
 
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
-    max_leaves=8,
-)
-
-
-@st.composite
-def mutated(draw, doc):
-    """``doc`` with one value at a random depth replaced by an arbitrary JSON value."""
-    doc = node = copy.deepcopy(doc)
-    while True:
-        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
-        if isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
-            node = node[key]
-            continue
-        node[key] = draw(JSON_VALUES)
-        return doc
-
-
-def json_files(doc):
-    """Bytes of a JSON file: ``doc`` mutated (NaN and Infinity included), or any bytes."""
-    return st.one_of(
-        mutated(doc).map(lambda d: json.dumps(d).encode()),
-        st.binary(max_size=80),
-        st.text(max_size=80).map(str.encode),
-    )
-
-
 SCORE_FIELDS = st.sampled_from(["S1", "R1", "3", "4.5", "9", "nan", "inf", "", '"', "x"])
 SCORES_FILES = st.one_of(
     st.lists(st.lists(SCORE_FIELDS, max_size=7).map(",".join), max_size=4).map(
@@ -608,3 +578,25 @@ def test_any_loader_input_gives_a_value_or_a_named_error(tmp_path_factory, case)
     path = tmp_path_factory.mktemp("fuzz") / "input"
     path.write_bytes(raw)
     _value_or_named_error(load, path)
+
+
+def test_csv_table_keeps_line_numbers_and_skips_blank_rows(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"a,b\r\n1,2\r\n\r\n , \r\n3,4\r\n")
+    assert ingest.read_csv_table(path) == (["a", "b"], [(2, ["1", "2"]), (5, ["3", "4"])])
+
+
+def test_empty_csv_names_file(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"")
+    with pytest.raises(ParseError, match=re.escape(f"{path}: empty file")):
+        ingest.read_csv_table(path)
+
+
+@pytest.mark.parametrize("cell", ["x", "nan", "inf"])
+def test_scores_cell_not_a_finite_number_names_line_and_column(tmp_path, cell):
+    path = _scores_csv(tmp_path, f"S1,R1,4,{cell},5,4\n")
+    with pytest.raises(
+        ParseError, match=re.escape(f"{path}:2: intonation: expected a finite number, got '{cell}'")
+    ):
+        ingest.load_scores(path)

@@ -358,3 +358,16 @@ def test_grid_insufficient_overlap():
     sco = {k: v for k, v in list(sco.items())[:2]}
     with pytest.raises(ComputeError, match="insufficient overlap"):
         correlate_grid(ent, sco)
+
+
+@pytest.mark.parametrize("test", [paired_t_test, pearson])
+def test_overflowing_input_is_a_compute_error(test):
+    # every value is finite, but the differences or the sums of squares are not
+    with pytest.raises(ComputeError, match="overflow"):
+        test([1e308, -1e308, 0.0], [-1e308, 1e308, 1.0])
+
+
+def test_underflowing_correlation_is_a_compute_error():
+    # each sum of squares is > 0, but their product is 0 in float64
+    with pytest.raises(ComputeError, match="underflow"):
+        pearson([1e-100, -1e-100, 0.0], [1e-100, -1e-100, 0.0])
