@@ -22,7 +22,7 @@ from f0entrain import __version__, ingest, pipeline, stats, synth
 from f0entrain.errors import ComputeError, DataError, ParseError, ValidationError
 from f0entrain.ingest import ALL_CRITERIA
 from f0entrain.preprocess import SmoothingConfig, clean_track
-from f0entrain.pipeline import CHOICES, RunConfig
+from f0entrain.pipeline import CHOICES, RunConfig, flag, g6, p3, write_table
 
 # RunConfig field -> its type, None dropped from an optional one
 CONFIG_TYPES = {
@@ -91,8 +91,10 @@ def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--norm", choices=CHOICES["norm"], help="z-transform divisor")
     parser.add_argument("--norm-scope", choices=CHOICES["norm_scope"], dest="norm_scope")
-    parser.add_argument("--alpha", type=float, help="significance level (default 0.05)")
-    parser.add_argument("--trend", type=float, help="trend threshold (default 0.1)")
+    parser.add_argument("--alpha", type=float,
+                        help=f"significance level (default {stats.DEFAULT_ALPHA})")
+    parser.add_argument("--trend", type=float,
+                        help=f"trend threshold (default {stats.DEFAULT_TREND})")
     parser.add_argument("--semitone", type=float, metavar="REF_HZ",
                         help="convert tracks to semitones re REF_HZ before parameterization")
     parser.add_argument("--from-wav", action="store_true", default=None, dest="from_wav",
@@ -224,30 +226,22 @@ def _numbers(path: str, rows, column: str) -> list[float]:
     return [ingest.csv_number(row[column], path, lineno, column) for lineno, row in rows]
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
 def cmd_stats_ttest(args) -> int:
     _check_levels(args)
     rows = _data_rows(args.csv, args.x, args.y, *filter(None, [args.by]))
     groups: dict[str, list] = {}
     for lineno, row in rows:
         groups.setdefault(row[args.by] if args.by else "all", []).append((lineno, row))
-    lines = ["group,t,df,p_value,p_one_sided,significant,trend"]
+    lines = []
     for name, group in groups.items():
         x, y = _numbers(args.csv, group, args.x), _numbers(args.csv, group, args.y)
         with _reraised(f"{args.csv}: group {name}", ComputeError, ComputeError):
             res = stats.paired_t_test(x, y, alpha=args.alpha, trend=args.trend)
         lines.append(
-            f"{name},{res.statistic:.6g},{res.df:g},{res.p_value:.3g},"
-            f"{stats.one_sided_p(res):.3g},"
-            f"{'true' if res.significant else 'false'},{'true' if res.trend else 'false'}"
+            f"{name},{g6(res.statistic)},{res.df:g},{p3(res.p_value)},"
+            f"{p3(stats.one_sided_p(res))},{flag(res.significant)},{flag(res.trend)}"
         )
-    _emit("\n".join(lines) + "\n", args.out)
+    write_table(args.out, "group,t,df,p_value,p_one_sided,significant,trend", lines)
     return 0
 
 
@@ -257,12 +251,10 @@ def cmd_stats_pearson(args) -> int:
     x, y = _numbers(args.csv, rows, args.x), _numbers(args.csv, rows, args.y)
     with _reraised(args.csv, ComputeError, ComputeError):
         res = stats.pearson(x, y, alpha=args.alpha, trend=args.trend)
-    text = (
-        "r,df,p_value,n,significant,trend\n"
-        f"{res.statistic:.6g},{res.df:g},{res.p_value:.3g},{len(x)},"
-        f"{'true' if res.significant else 'false'},{'true' if res.trend else 'false'}\n"
-    )
-    _emit(text, args.out)
+    write_table(args.out, "r,df,p_value,n,significant,trend", [
+        f"{g6(res.statistic)},{res.df:g},{p3(res.p_value)},{len(x)},"
+        f"{flag(res.significant)},{flag(res.trend)}"
+    ])
     return 0
 
 
@@ -273,7 +265,7 @@ def cmd_stats_icc(args) -> int:
     raters = sorted({r.rater for r in table.rows})
     cell = {(r.speaker, r.rater): r for r in table.rows}
     criteria = [args.criterion] if args.criterion else list(ALL_CRITERIA)
-    results = []
+    lines = []
     for criterion in criteria:
         matrix = []
         for spk in speakers:
@@ -286,10 +278,10 @@ def cmd_stats_icc(args) -> int:
                     )
                 row.append(getattr(cell[(spk, rater)], criterion))
             matrix.append(row)
-        results.append(
-            (criterion, stats.icc_3k(matrix, alpha=args.alpha, absolute=args.absolute))
-        )
-    _emit(pipeline.format_icc_csv(results), args.out)
+        res = stats.icc_3k(matrix, alpha=args.alpha, absolute=args.absolute)
+        p_value = "<0.001" if res.p_value < 0.001 else p3(res.p_value)
+        lines.append(f"{criterion},{res.icc:.3f},{p_value},{res.ci_low:.2f},{res.ci_high:.2f}")
+    write_table(args.out, "criterion,icc,p_value,ci_low,ci_high", lines)
     return 0
 
 
@@ -357,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--x", required=True)
     q.add_argument("--y", required=True)
     q.add_argument("--by", help="group rows by this column (one test per group)")
-    q.add_argument("--alpha", type=float, default=0.05)
-    q.add_argument("--trend", type=float, default=0.1)
+    q.add_argument("--alpha", type=float, default=stats.DEFAULT_ALPHA)
+    q.add_argument("--trend", type=float, default=stats.DEFAULT_TREND)
     q.add_argument("--out")
     q.set_defaults(func=cmd_stats_ttest)
 
@@ -366,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--csv", required=True)
     q.add_argument("--x", required=True)
     q.add_argument("--y", required=True)
-    q.add_argument("--alpha", type=float, default=0.05)
-    q.add_argument("--trend", type=float, default=0.1)
+    q.add_argument("--alpha", type=float, default=stats.DEFAULT_ALPHA)
+    q.add_argument("--trend", type=float, default=stats.DEFAULT_TREND)
     q.add_argument("--out")
     q.set_defaults(func=cmd_stats_pearson)
 
@@ -375,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--scores", required=True)
     q.add_argument("--criterion", choices=list(ALL_CRITERIA))
     q.add_argument("--absolute", action="store_true", help="absolute-agreement variant")
-    q.add_argument("--alpha", type=float, default=0.05)
+    q.add_argument("--alpha", type=float, default=stats.DEFAULT_ALPHA)
     q.add_argument("--out")
     q.set_defaults(func=cmd_stats_icc)
 
@@ -384,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--measure", choices=CHOICES["grid_measure"], default="e_opt")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--trend", type=float, default=0.1)
+    p.add_argument("--alpha", type=float, default=stats.DEFAULT_ALPHA)
+    p.add_argument("--trend", type=float, default=stats.DEFAULT_TREND)
     p.set_defaults(func=cmd_grid)
 
     return parser

@@ -192,10 +192,12 @@ def other_distance(
             continue
         candidates.append(s.id)
     if not candidates:
-        if pool == "same-sex":
-            hint = "the corpus needs two same-sex dyads, or pass --surrogate-pool all"
-        else:
+        if pool == "all":
             hint = "the corpus needs two dyads"
+        elif target_sex is None:
+            hint = f"speaker {target!r} has no sex in the manifest; pass --surrogate-pool all"
+        else:
+            hint = "the corpus needs two same-sex dyads, or pass --surrogate-pool all"
         raise ComputeError(f"empty surrogate pool for speaker {target!r} (pool={pool}): {hint}")
 
     per_candidate = []

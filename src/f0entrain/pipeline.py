@@ -4,8 +4,9 @@ Wires ingest -> (optional pitch estimation) -> preprocessing -> per-word
 features -> entrainment measures -> statistics, and writes the CSV/JSON
 bundle. ``BUNDLE`` maps each bundle file to its writer and the stages it
 needs; ``run_pipeline`` runs only the stages of the files it is asked
-for. Every stage runs in manifest order in one thread, so the output
-bytes depend only on the corpus and the configuration.
+for, and all of them before it writes the first file. Every stage runs
+in manifest order in one thread, so the output bytes depend only on the
+corpus and the configuration.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from contextlib import contextmanager
+import sys
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Collection, Iterable, Sequence
@@ -72,8 +74,8 @@ class RunConfig:
     surrogate_pool: str = "same-sex"
     norm: str = "sd"
     norm_scope: str = "corpus"
-    alpha: float = 0.05
-    trend: float = 0.1
+    alpha: float = stats.DEFAULT_ALPHA
+    trend: float = stats.DEFAULT_TREND
     semitone: float | None = None          # reference Hz; None = stay in Hz
     from_wav: bool = False
     pitch_floor: float = 75.0
@@ -160,15 +162,16 @@ def _load_track(rendition: Rendition, config: RunConfig) -> F0Track:
 
 
 @contextmanager
-def _naming_file(rendition: Rendition):
-    """Prefix a ComputeError raised on one rendition's track with its F0 file.
+def _prefixed(prefix: str):
+    """Prefix a ComputeError raised inside with ``prefix: ``, naming the input at fault.
 
-    Under ``--from-wav`` that file is the WAV the track was estimated from.
+    A track's error names its F0 file; under ``--from-wav`` that is the WAV
+    the track was estimated from.
     """
     try:
         yield
     except ComputeError as exc:
-        raise ComputeError(f"{rendition.f0_path}: {exc}") from exc
+        raise ComputeError(f"{prefix}: {exc}") from exc
 
 
 def process_corpus(manifest: CorpusManifest, config: RunConfig) -> ProcessedCorpus:
@@ -182,7 +185,7 @@ def process_corpus(manifest: CorpusManifest, config: RunConfig) -> ProcessedCorp
     if config.outlier_scope == "speaker":
         grouped: dict[str, list[np.ndarray]] = {}
         for r, t in zip(renditions, tracks):
-            with _naming_file(r):
+            with _prefixed(r.f0_path):
                 grouped.setdefault(r.speaker, []).append(interpolate_unvoiced(t).values)
         bounds = {
             spk: outlier_bounds(np.concatenate(vals)) for spk, vals in grouped.items()
@@ -192,7 +195,7 @@ def process_corpus(manifest: CorpusManifest, config: RunConfig) -> ProcessedCorp
     contours: dict[tuple[str, int, str], dict[str, np.ndarray]] = {}
     total_dropped = total_untimed = 0
     for r, track in zip(renditions, tracks):
-        with _naming_file(r):
+        with _prefixed(r.f0_path):
             track = clean_track(track, smoothing, bounds.get(r.speaker))
         if config.semitone is not None:
             track = to_semitones(track, config.semitone)
@@ -207,70 +210,111 @@ def process_corpus(manifest: CorpusManifest, config: RunConfig) -> ProcessedCorp
 
 
 # ---------------------------------------------------------------------------
-# report writers
+# report writers: each formats results that run_stages computed
 
 
-def _f6(x: float) -> str:
-    return f"{x:.6f}"
+def write_table(path: str | Path | None, header: str, rows: Iterable[str]) -> None:
+    """Write ``header`` and then each row, one line at a time; a path of None is stdout."""
+    with open(path, "w") if path is not None else nullcontext(sys.stdout) as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(row + "\n")
 
 
-def _p3(p: float | None) -> str:
+# Cell formats shared by every table the program writes.
+def f6(x: float | None) -> str:
+    return "" if x is None else f"{x:.6f}"
+
+
+def p3(p: float | None) -> str:
     return "" if p is None else f"{p:.3g}"
 
 
-def _g6(x: float | None) -> str:
+def g6(x: float | None) -> str:
     return "" if x is None else f"{x:.6g}"
 
 
-def _bool(b: bool) -> str:
+def flag(b: bool) -> str:
     return "true" if b else "false"
 
 
 def write_features_csv(processed: ProcessedCorpus, path: str | Path) -> None:
     """One row per retained word, written as it is formatted."""
-    row = "%s,%d,%d,%s" + ",%.6f" * 7 + "\n"
-    with open(path, "w") as fh:
-        fh.write("speaker,utterance,word_index,word,start_s,end_s,mean,median,slope,range,drop\n")
-        for utt in processed.utterances.values():  # in rendition order
-            for word_index, (word, values) in enumerate(zip(utt.words, utt.table.T.tolist())):
-                fh.write(row % (utt.speaker, utt.utterance_index, word_index, word, *values))
+    row = "%s,%d,%d,%s" + ",%.6f" * 7
+    write_table(
+        path,
+        "speaker,utterance,word_index,word,start_s,end_s,mean,median,slope,range,drop",
+        (
+            row % (utt.speaker, utt.utterance_index, word_index, word, *values)
+            for utt in processed.utterances.values()  # in rendition order
+            for word_index, (word, values) in enumerate(zip(utt.words, utt.table.T.tolist()))
+        ),
+    )
 
 
 def write_samples_csv(measurement: CorpusMeasurement, path: str | Path) -> None:
-    lines = ["imitator,model,utterance,feature,dtw"]
-    for s in measurement.samples:
-        lines.append(
-            f"{s.imitator},{s.model},{s.utterance_index},{s.feature},{_f6(s.distance)}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_table(path, "imitator,model,utterance,feature,dtw", (
+        f"{s.imitator},{s.model},{s.utterance_index},{s.feature},{f6(s.distance)}"
+        for s in measurement.samples
+    ))
 
 
 def write_speaker_csv(measurement: CorpusMeasurement, path: str | Path, norm: str = "sd") -> None:
-    header = "speaker,feature,e_raw,e_opt,n_used"
-    if norm == "se":
-        header += ",e_opt_se"
-    lines = [header]
-    for s in measurement.speaker_scores:
-        e_opt = "" if s.e_opt is None else _f6(s.e_opt)
-        row = f"{s.speaker},{s.feature},{_f6(s.e_raw)},{e_opt},{s.n_used}"
-        if norm == "se":
-            row += f",{'' if s.e_opt_alt is None else _f6(s.e_opt_alt)}"
-        lines.append(row)
-    Path(path).write_text("\n".join(lines) + "\n")
+    se = norm == "se"
+    write_table(path, "speaker,feature,e_raw,e_opt,n_used" + (",e_opt_se" if se else ""), (
+        f"{s.speaker},{s.feature},{f6(s.e_raw)},{f6(s.e_opt)},{s.n_used}"
+        + (f",{f6(s.e_opt_alt)}" if se else "")
+        for s in measurement.speaker_scores
+    ))
 
 
 def write_validate_csv(measurement: CorpusMeasurement, path: str | Path) -> None:
-    lines = ["speaker,feature,partner_distance,other_distance,n_surrogates"]
-    for po in measurement.partner_other:
-        lines.append(
-            f"{po.speaker},{po.feature},{_f6(po.partner_distance)},"
-            f"{_f6(po.other_distance)},{po.n_surrogates}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_table(path, "speaker,feature,partner_distance,other_distance,n_surrogates", (
+        f"{po.speaker},{po.feature},{f6(po.partner_distance)},"
+        f"{f6(po.other_distance)},{po.n_surrogates}"
+        for po in measurement.partner_other
+    ))
+
+
+def write_ttest_csv(
+    tests: Iterable[tuple[str, stats.TestResult, float]],
+    path: str | Path,
+    alpha: float = stats.DEFAULT_ALPHA,
+) -> None:
+    """Partner-vs-other report shaped like a t-test summary table.
+
+    The printed p-value is the one-sided (partner < other) tail; ``sig``
+    is ``*`` when it clears the significance level.
+    """
+    write_table(path, "feature,t,df,p_value,sig", (
+        f"{feature},{g6(res.statistic)},{res.df:g},{p3(p_one)},{'*' if p_one < alpha else ''}"
+        for feature, res, p_one in tests
+    ))
+
+
+def write_dyads_csv(measurement: CorpusMeasurement, path: str | Path) -> None:
+    write_table(path, "speaker_a,speaker_b,feature,inner_dyad", (
+        f"{d.dyad[0]},{d.dyad[1]},{d.feature},{f6(d.inner_dyad)}" for d in measurement.dyad_scores
+    ))
+
+
+def write_grid_csv(cells: Sequence[stats.GridCell], path: str | Path) -> None:
+    """Long-form correlation grid, rows in the given (``correlate_grid``'s) order."""
+    write_table(path, "feature,criterion,r,p,n,significant,trend", (
+        f"{c.feature},{c.criterion},{g6(c.r)},{p3(c.p)},{c.n},"
+        f"{flag(c.significant)},{flag(c.trend)}"
+        for c in cells
+    ))
+
+
+# ---------------------------------------------------------------------------
+# full run
 
 
 def partner_other_ttests(
-    measurement: CorpusMeasurement, alpha: float = 0.05, trend: float = 0.1
+    measurement: CorpusMeasurement,
+    alpha: float = stats.DEFAULT_ALPHA,
+    trend: float = stats.DEFAULT_TREND,
 ) -> list[tuple[str, stats.TestResult, float]]:
     """Per-feature paired t-test of partner vs. other distances.
 
@@ -288,62 +332,6 @@ def partner_other_ttests(
         res = stats.paired_t_test(partner, other, alpha=alpha, trend=trend)
         out.append((feature, res, stats.one_sided_p(res)))
     return out
-
-
-def format_ttest_csv(
-    tests: Iterable[tuple[str, stats.TestResult, float]], alpha: float = 0.05
-) -> str:
-    """Partner-vs-other report shaped like a t-test summary table.
-
-    The printed p-value is the one-sided (partner < other) tail; ``sig``
-    is ``*`` when it clears the significance level.
-    """
-    lines = ["feature,t,df,p_value,sig"]
-    for feature, res, p_one in tests:
-        sig = "*" if p_one < alpha else ""
-        lines.append(f"{feature},{_g6(res.statistic)},{res.df:g},{_p3(p_one)},{sig}")
-    return "\n".join(lines) + "\n"
-
-
-def write_ttest_csv(
-    tests: Iterable[tuple[str, stats.TestResult, float]],
-    path: str | Path,
-    alpha: float = 0.05,
-) -> None:
-    Path(path).write_text(format_ttest_csv(tests, alpha=alpha))
-
-
-def write_dyads_csv(measurement: CorpusMeasurement, path: str | Path) -> None:
-    lines = ["speaker_a,speaker_b,feature,inner_dyad"]
-    for d in measurement.dyad_scores:
-        lines.append(f"{d.dyad[0]},{d.dyad[1]},{d.feature},{_f6(d.inner_dyad)}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_grid_csv(cells: Sequence[stats.GridCell], path: str | Path) -> None:
-    """Long-form correlation grid, rows in lexicographic (feature, criterion) order."""
-    lines = ["feature,criterion,r,p,n,significant,trend"]
-    for c in sorted(cells, key=lambda c: (c.feature, c.criterion)):
-        lines.append(
-            f"{c.feature},{c.criterion},{_g6(c.r)},{_p3(c.p)},{c.n},"
-            f"{_bool(c.significant)},{_bool(c.trend)}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def format_icc_csv(rows: Iterable[tuple[str, stats.IccResult]]) -> str:
-    """Rater-agreement report; p below 0.001 prints as '<0.001'."""
-    lines = ["criterion,icc,p_value,ci_low,ci_high"]
-    for criterion, res in rows:
-        p_str = "<0.001" if res.p_value < 0.001 else _p3(res.p_value)
-        lines.append(
-            f"{criterion},{res.icc:.3f},{p_str},{res.ci_low:.2f},{res.ci_high:.2f}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# full run
 
 
 def corpus_checksum(manifest_path: str | Path, manifest: CorpusManifest) -> str:
@@ -366,22 +354,25 @@ class Stages:
     manifest: CorpusManifest
     processed: ProcessedCorpus
     measurement: CorpusMeasurement | None = None
-    scores: ScoreTable | None = None
+    ttests: list[tuple[str, stats.TestResult, float]] | None = None
+    grid: list[stats.GridCell] | None = None
+    checksum: str | None = None
 
 
 def run_stages(config: RunConfig, needs: Collection[str]) -> Stages:
-    """Manifest -> scores -> process_corpus -> measure_corpus, as far as ``needs`` asks.
+    """Everything the files with these ``needs`` hold, computed before any file is written.
 
     Features always run. ``needs`` may add "dtw" (real-pair distances and
     ``e_raw``), "norm" (``e_opt``), "surrogates" (partner vs. other
-    distances) and "scores" (the rater table, when the config names one).
+    distances and their t-tests), "scores" (the correlation grid, empty
+    unless the config names a scores file) and "checksum" (the corpus's).
     """
     manifest = ingest.load_manifest(config.manifest)
     score_table = None
     if "scores" in needs and config.scores is not None:
         score_table = ingest.load_scores(config.scores)
     processed = process_corpus(manifest, config)
-    measurement = None
+    measurement = ttests = grid = checksum = None
     if "dtw" in needs:
         measurement = entrain.measure_corpus(
             manifest,
@@ -392,30 +383,26 @@ def run_stages(config: RunConfig, needs: Collection[str]) -> Stages:
             with_surrogates="surrogates" in needs,
             with_normalization="norm" in needs,
         )
-    return Stages(config, manifest, processed, measurement, score_table)
-
-
-def _write_ttest(stages: Stages, path: Path) -> None:
-    config = stages.config
-    tests = partner_other_ttests(stages.measurement, alpha=config.alpha, trend=config.trend)
-    write_ttest_csv(tests, path, alpha=config.alpha)
-
-
-def _write_grid(stages: Stages, path: Path) -> None:
-    config, measurement, cells = stages.config, stages.measurement, []
-    if stages.scores is not None:
-        e_opt = config.grid_measure == "e_opt"
-        table = measurement.e_opt_table() if e_opt else measurement.e_raw_table()
-        cells = stats.correlate_grid(
-            table, stages.scores.speaker_means(), alpha=config.alpha, trend=config.trend
-        )
-    write_grid_csv(cells, path)
+    if "surrogates" in needs:
+        ttests = partner_other_ttests(measurement, alpha=config.alpha, trend=config.trend)
+    if "scores" in needs:
+        grid = []
+        if score_table is not None:
+            e_opt = config.grid_measure == "e_opt"
+            table = measurement.e_opt_table() if e_opt else measurement.e_raw_table()
+            with _prefixed(f"{config.scores} with {config.manifest}"):
+                grid = stats.correlate_grid(
+                    table, score_table.speaker_means(), alpha=config.alpha, trend=config.trend
+                )
+    if "checksum" in needs:
+        checksum = corpus_checksum(config.manifest, manifest)
+    return Stages(config, manifest, processed, measurement, ttests, grid, checksum)
 
 
 def _write_run_json(stages: Stages, path: Path) -> None:
     run_doc = {
         "config": stages.config.recorded(),
-        "corpus_checksum": corpus_checksum(stages.config.manifest, stages.manifest),
+        "corpus_checksum": stages.checksum,
         "version": __version__,
     }
     path.write_text(json.dumps(run_doc, indent=1, sort_keys=True) + "\n")
@@ -434,23 +421,27 @@ BUNDLE = {
     "validate.csv": (
         ("dtw", "surrogates"), lambda s, path: write_validate_csv(s.measurement, path)
     ),
-    "ttest.csv": (("dtw", "surrogates"), _write_ttest),
+    "ttest.csv": (
+        ("dtw", "surrogates"),
+        lambda s, path: write_ttest_csv(s.ttests, path, alpha=s.config.alpha),
+    ),
     "dyads.csv": (("dtw",), lambda s, path: write_dyads_csv(s.measurement, path)),
-    "grid.csv": (("dtw", "norm", "scores"), _write_grid),
-    "run.json": ((), _write_run_json),
+    "grid.csv": (("dtw", "norm", "scores"), lambda s, path: write_grid_csv(s.grid, path)),
+    "run.json": (("checksum",), _write_run_json),
 }
 
 
 def run_pipeline(config: RunConfig, files: Sequence[str] = tuple(BUNDLE)) -> list[str]:
-    """Run the stages that ``files`` need, write those bundle files and return the warnings.
+    """Run the stages that ``files`` need, then write those bundle files; return the warnings.
 
     A single file is written at ``config.out``; several go into the
-    ``config.out`` directory.
+    ``config.out`` directory. Nothing is written, and no directory made,
+    unless every stage succeeds.
     """
+    stages = run_stages(config, {need for name in files for need in BUNDLE[name][0]})
     out = Path(config.out)
     if len(files) > 1:
         out.mkdir(parents=True, exist_ok=True)
-    stages = run_stages(config, {need for name in files for need in BUNDLE[name][0]})
     for name in files:
         BUNDLE[name][1](stages, out / name if len(files) > 1 else out)
     return stages.processed.warnings()

@@ -75,7 +75,7 @@ def _synthesize(durations: np.ndarray, mids: np.ndarray, rises: np.ndarray):
     return np.maximum(values, F0_FLOOR_HZ), boundaries
 
 
-def _write_align(path: Path, index: int, boundaries: np.ndarray) -> None:
+def _align_text(index: int, boundaries: np.ndarray) -> str:
     words = [
         {
             "word": f"t{index}w{j}",
@@ -84,7 +84,7 @@ def _write_align(path: Path, index: int, boundaries: np.ndarray) -> None:
         }
         for j in range(len(boundaries) - 1)
     ]
-    path.write_text(json.dumps({"segments": [{"words": words}]}))
+    return json.dumps({"segments": [{"words": words}]})
 
 
 def gen_corpus(config: SynthConfig, out_dir: str | Path) -> Path:
@@ -150,8 +150,9 @@ def gen_corpus(config: SynthConfig, out_dir: str | Path) -> Path:
                 }
                 write_f0_csv(F0Track(0.0, STEP_S, model_values, voiced), out / names["model_f0"])
                 write_f0_csv(F0Track(0.0, STEP_S, imit_values, voiced), out / names["imitator_f0"])
-                _write_align(out / names["model_align"], k, boundaries)
-                _write_align(out / names["imitator_align"], k, boundaries)
+                align = _align_text(k, boundaries)  # both renditions share the words
+                (out / names["model_align"]).write_text(align)
+                (out / names["imitator_align"]).write_text(align)
                 utterances.append({"index": k, "imitator": imit_id, "model": model_id, **names})
 
     manifest_path = out / "manifest.json"

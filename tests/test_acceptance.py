@@ -128,7 +128,7 @@ def test_c04_feature_algebra():
             assert math.isclose(reversed_.drop, -base.drop, rel_tol=1e-9, abs_tol=1e-7)
 
 
-def test_c05_statistics_kernel():
+def test_c05_statistics_kernel(tmp_path):
     with criterion(5, "t/beta/pearson/ICC kernel values and the t-table report"):
         for t in np.linspace(0.0, 10.0, 501):
             closed = 1.0 - t / math.sqrt(t * t + 2.0)
@@ -146,8 +146,8 @@ def test_c05_statistics_kernel():
         p_two = t_sf(4.44, 57.0)
         res = TestResult(statistic=-4.44, df=57.0, p_value=p_two,
                          significant=p_two < 0.05, trend=True)
-        text = pipeline.format_ttest_csv([("median", res, one_sided_p(res))])
-        printed_p = float(text.splitlines()[1].split(",")[3])
+        pipeline.write_ttest_csv([("median", res, one_sided_p(res))], tmp_path / "ttest.csv")
+        printed_p = float((tmp_path / "ttest.csv").read_text().splitlines()[1].split(",")[3])
         assert abs(printed_p - 2.1e-5) / 2.1e-5 <= 0.10
 
 

@@ -800,3 +800,50 @@ def test_any_entrain_csv_gives_a_grid_or_a_named_error(tmp_path_factory, raw):
     _result_or_named_error(
         ["grid", "--entrain", path, "--scores", scores, "--out", root / "grid.csv"], path
     )
+
+
+def test_unsexed_speaker_named_in_empty_pool_error(tmp_path, capsys):
+    corpus_dir = tmp_path / "c"
+    synth.gen_corpus(synth.SynthConfig(n_dyads=4, n_utterances=2, noise_eps=0.5), corpus_dir)
+    doc = json.loads((corpus_dir / "manifest.json").read_text())
+    del doc["speakers"][0]["sex"]  # S00; the corpus still has two same-sex dyads of each sex
+    (corpus_dir / "manifest.json").write_text(json.dumps(doc))
+    assert main(["run", "--manifest", str(corpus_dir / "manifest.json"),
+                 "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert "speaker 'S00' has no sex in the manifest" in err
+    assert "--surrogate-pool all" in err
+    assert "two same-sex dyads" not in err
+
+
+@pytest.fixture
+def disjoint_scores(corpus, tmp_path):
+    """A scores file that shares no speaker with ``corpus``."""
+    path = tmp_path / "x.csv"
+    path.write_text("speaker,rater,pronunciation,intonation,fluency,overall\n" + "".join(
+        f"X{i:02d},R{r},3,3,3,3\n" for i in range(4) for r in range(2)
+    ))
+    return path
+
+
+def test_run_grid_error_names_both_files(corpus, disjoint_scores, tmp_path, capsys):
+    manifest = corpus / "manifest.json"
+    assert main(["run", "--manifest", str(manifest), "--scores", str(disjoint_scores),
+                 "--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {disjoint_scores} with {manifest}: "
+        "insufficient overlap: only 0 speakers in both tables\n"
+    )
+
+
+def test_failed_run_writes_nothing(corpus, disjoint_scores, tmp_path):
+    manifest = str(corpus / "manifest.json")
+    bundle = tmp_path / "r"
+    assert main(["run", "--manifest", manifest, "--out", str(bundle)]) == 0
+    before = _bundle_bytes(bundle)
+    # the grid fails last, after every other file's results are known
+    failing = ["--scores", str(disjoint_scores), "--window", "5"]
+    assert main(["run", "--manifest", manifest, *failing, "--out", str(bundle)]) == 1
+    assert _bundle_bytes(bundle) == before
+    assert main(["run", "--manifest", manifest, *failing, "--out", str(tmp_path / "new")]) == 1
+    assert not (tmp_path / "new").exists()

@@ -34,6 +34,10 @@ Each golden directory is a copy of ``report/*``. The test repeats the
 commands in a temporary directory with the same relative paths, so
 ``run.json`` (which records them) stays stable, and its
 ``corpus_checksum`` also pins synth's output bytes (and the WAV bytes).
+``tests/golden_stats/`` pins the ``stats`` tables: its ``pairs.csv`` and
+``scores.csv`` are fixed inputs, and ``ttest.csv``, ``pearson.csv`` and
+``icc.csv`` are what each command prints or writes at ``--out``.
+
 Regenerating the golden files needs an entry in CHANGES.md that says
 which bytes moved and why.
 """
@@ -92,3 +96,29 @@ def test_run_bundle_matches_golden(golden, tmp_path, monkeypatch):
     assert set(got) == set(want)
     for name in want:
         assert got[name] == want[name], first_difference(name, got[name], want[name])
+
+
+STATS = HERE / "golden_stats"
+
+# stats command: (its arguments, golden table)
+STATS_GOLDENS = {
+    "ttest": (["--csv", STATS / "pairs.csv", "--x", "a", "--y", "b", "--by", "g"], "ttest.csv"),
+    "pearson": (["--csv", STATS / "pairs.csv", "--x", "a", "--y", "b"], "pearson.csv"),
+    "icc": (["--scores", STATS / "scores.csv"], "icc.csv"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(STATS_GOLDENS))
+def test_stats_table_matches_golden(command, tmp_path, capsys):
+    args, golden = STATS_GOLDENS[command]
+    argv = ["stats", command, *map(str, args)]
+    want = (STATS / golden).read_bytes()
+
+    assert main(argv) == 0
+    printed = capsys.readouterr().out.encode()
+    assert printed == want, first_difference(golden, printed, want)
+
+    out = tmp_path / golden
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == want, first_difference(golden, out.read_bytes(), want)
