@@ -65,6 +65,17 @@ def load_config_file(path: str | Path) -> dict:
     return out
 
 
+def recorded_checksum(path: str | Path) -> str | None:
+    """The corpus checksum a run.json records; None for a config file that records none."""
+    text = ingest.read_utf8(path)
+    if not text.lstrip().startswith("{"):
+        return None
+    checksum = ingest.parse_json(text, path).get("corpus_checksum")
+    if checksum is not None and not isinstance(checksum, str):
+        raise ParseError(f"{path}: corpus_checksum must be a string, got {checksum!r}")
+    return checksum
+
+
 def _coerce(kind: type, value):
     """Text converted to ``kind``, or a JSON value of that type (an int for a float)."""
     if value is None or (isinstance(value, str) and value.lower() in ("", "none")):
@@ -192,7 +203,11 @@ PIPELINE_COMMANDS = {
 
 def cmd_pipeline(args) -> int:
     config = build_run_config(args)
-    for message in pipeline.run_pipeline(config, args.files):
+    # a replayed run.json checks its corpus, unless --manifest names another
+    expected = None
+    if args.config and args.manifest is None:
+        expected = recorded_checksum(args.config)
+    for message in pipeline.run_pipeline(config, args.files, expected):
         print(f"warning: {message}", file=sys.stderr)
     if args.command == "run":
         print(f"wrote bundle: {Path(config.out)} ({', '.join(args.files)})")

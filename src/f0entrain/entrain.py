@@ -18,21 +18,73 @@ feature values, unnormalized path cost). Per speaker and feature:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from f0entrain.errors import ComputeError
-from f0entrain.features import FEATURE_NAMES
+from f0entrain.features import FEATURE_NAMES, TABLE_ROWS
 from f0entrain.ingest import CorpusManifest
 from f0entrain.quantiles import iqr_fences
 
 ROLE_IMITATOR = "imitator"
 ROLE_MODEL = "model"
 
-# contour store: (speaker, utterance_index, role) -> {feature: values}
-ContourMap = Mapping[tuple[str, int, str], Mapping[str, np.ndarray]]
+RenditionKey = tuple[str, int, str]  # (speaker, utterance_index, role)
+
+
+@dataclass(frozen=True, eq=False)
+class ContourStore:
+    """Every rendition's retained words in one read-only ``(7, N)`` float table.
+
+    The table has a row per ``TABLE_ROWS`` name and a column per word: the
+    word's start and end times in seconds, then its five features.
+    ``spans`` maps each rendition's key, (speaker, utterance_index, role),
+    in the order the renditions were added, to the offsets ``(lo, hi)`` of
+    its columns; ``words`` holds each rendition's word texts in the same
+    order, equal texts sharing one ``str``. Looking a rendition up gives its
+    ``(5, n)`` feature block, a view whose row f is the contour of
+    ``FEATURE_NAMES[f]``; nothing is copied.
+    """
+
+    spans: dict[RenditionKey, tuple[int, int]]
+    words: Sequence[tuple[str, ...]]
+    table: np.ndarray
+
+    def __getitem__(self, key: RenditionKey) -> np.ndarray:
+        lo, hi = self.spans[key]
+        return self.table[2:, lo:hi]
+
+
+class ContourStoreBuilder:
+    """Adds renditions to a ContourStore one at a time.
+
+    Each word's seven values are appended to one growing float buffer,
+    word after word, and ``build`` wraps that buffer as the store's table
+    without copying it: the table's rows are strided views of the buffer.
+    """
+
+    def __init__(self):
+        self._spans: dict[RenditionKey, tuple[int, int]] = {}
+        self._words: list[tuple[str, ...]] = []
+        self._values = array("d")
+        self._texts: dict[str, str] = {}
+        self._end = 0
+
+    def add(self, key: RenditionKey, words: Sequence[str], table: np.ndarray) -> None:
+        """Append a rendition's words and its ``(7, n)`` table of their values."""
+        start, self._end = self._end, self._end + len(words)
+        self._spans[key] = (start, self._end)
+        self._words.append(tuple(self._texts.setdefault(w, w) for w in words))
+        self._values.frombytes(table.T.tobytes())
+
+    def build(self) -> ContourStore:
+        """The store of every rendition added; the builder is spent."""
+        table = np.frombuffer(self._values, dtype=np.float64).reshape(-1, len(TABLE_ROWS)).T
+        table.flags.writeable = False
+        return ContourStore(self._spans, self._words, table)
 
 
 @dataclass(frozen=True)
@@ -114,20 +166,20 @@ def dtw_distance(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarra
     return prev[m - 1]
 
 
-def compute_samples(manifest: CorpusManifest, contours: ContourMap) -> list[DtwSample]:
+def compute_samples(manifest: CorpusManifest, contours: ContourStore) -> list[DtwSample]:
     """DTW distances for every real imitation event x feature, in manifest order."""
     samples = []
     for rec in manifest.utterances:
         imit = contours[(rec.imitator, rec.index, ROLE_IMITATOR)]
         model = contours[(rec.model, rec.index, ROLE_MODEL)]
-        for feature in FEATURE_NAMES:
+        for f, feature in enumerate(FEATURE_NAMES):
             samples.append(
                 DtwSample(
                     imitator=rec.imitator,
                     model=rec.model,
                     utterance_index=rec.index,
                     feature=feature,
-                    distance=dtw_distance(imit[feature], model[feature]),
+                    distance=dtw_distance(imit[f], model[f]),
                 )
             )
     return samples
@@ -165,7 +217,7 @@ def other_distance(
     target: str,
     feature: str,
     manifest: CorpusManifest,
-    contours: ContourMap,
+    contours: ContourStore,
     pool: str = "same-sex",
 ) -> tuple[float, int]:
     """Average surrogate-pair distance for one speaker and feature.
@@ -182,7 +234,12 @@ def other_distance(
     indices = sorted({rec.index for rec in manifest.utterances if rec.imitator == target})
     if not indices:
         raise ComputeError(f"speaker {target!r} imitates no utterance")
-    imitated = {k: contours[(target, k, ROLE_IMITATOR)][feature] for k in indices}
+    # the feature's values of every word in the corpus, and each rendition's columns
+    row, spans = contours.table[TABLE_ROWS.index(feature)], contours.spans
+    imitated = {}
+    for k in indices:
+        lo, hi = spans[(target, k, ROLE_IMITATOR)]
+        imitated[k] = row[lo:hi].tolist()  # converted once for all its DTWs
 
     candidates = []
     for s in manifest.speakers:
@@ -204,10 +261,10 @@ def other_distance(
     for cand in candidates:
         distances = []
         for k, imit in imitated.items():
-            model = contours.get((cand, k, ROLE_MODEL))
-            if model is None:
+            span = spans.get((cand, k, ROLE_MODEL))
+            if span is None:
                 continue
-            distances.append(dtw_distance(imit, model[feature]))
+            distances.append(dtw_distance(imit, row[span[0] : span[1]]))
         if distances:
             per_candidate.append(float(np.mean(distances)))
     if not per_candidate:
@@ -253,7 +310,7 @@ class CorpusMeasurement:
 
 def measure_corpus(
     manifest: CorpusManifest,
-    contours: ContourMap,
+    contours: ContourStore,
     surrogate_pool: str = "same-sex",
     norm: str = "sd",
     norm_scope: str = "corpus",

@@ -143,8 +143,8 @@ def parameterize_utterance(
         if i1 - i0 >= 2:
             words.append(span.text)
             columns.append((span.start, span.end) + _summarize(track.values[i0:i1], track.step))
-    # each row contiguous, so a contour is a plain view of the table
-    table = np.array(columns, dtype=np.float64).reshape(-1, len(TABLE_ROWS)).T.copy()
+    # word-major like the corpus's ContourStore, so adding it there is one plain copy
+    table = np.array(columns, dtype=np.float64).reshape(-1, len(TABLE_ROWS)).T
     table.flags.writeable = False
     utt = UtteranceFeatures(speaker, utterance_index, tuple(words), table)
     return utt, len(spans) - len(words)

@@ -24,6 +24,7 @@ File formats:
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -129,6 +130,14 @@ def _decode(raw: bytes, path: str | Path) -> str:
 def read_utf8(path: str | Path) -> str:
     """A file's text, read as UTF-8; raises ParseError naming the file."""
     return _decode(Path(path).read_bytes(), path)
+
+
+def _read_hashed(path: Path, digests: dict[str, bytes] | None) -> bytes:
+    """A file's bytes; their SHA-256 goes into ``digests`` under ``str(path)``, if given."""
+    raw = path.read_bytes()
+    if digests is not None:
+        digests[str(path)] = hashlib.sha256(raw).digest()
+    return raw
 
 
 def parse_json(text: str, path: str | Path):
@@ -311,15 +320,18 @@ def load_manifest(path: str | Path) -> CorpusManifest:
 # word alignments
 
 
-def load_alignment(path: str | Path) -> tuple[list[WordSpan], int]:
+def load_alignment(
+    path: str | Path, digests: dict[str, bytes] | None = None
+) -> tuple[list[WordSpan], int]:
     """Extract timed word spans from a WhisperX-style alignment JSON.
 
     Words lacking a start or end timestamp are skipped; the number skipped
     is returned alongside the spans. Raises ValidationError on overlapping
     or out-of-order spans and ComputeError when no word carries timestamps.
+    ``digests``, if given, records the SHA-256 of the file's bytes.
     """
     path = Path(path)
-    doc = parse_json(read_utf8(path), path)
+    doc = parse_json(_decode(_read_hashed(path, digests), path), path)
     if not isinstance(doc, dict) or not isinstance(doc.get("segments"), list):
         raise ParseError(f"{path}: expected an object with a 'segments' list")
 
@@ -426,15 +438,16 @@ def _split_f0_lines(text: str, path: Path) -> tuple[np.ndarray, np.ndarray]:
     return times, values
 
 
-def load_f0_csv(path: str | Path) -> F0Track:
+def load_f0_csv(path: str | Path, digests: dict[str, bytes] | None = None) -> F0Track:
     """Load a two-column ``time_s,f0_hz`` CSV into an F0Track.
 
     Times must be strictly increasing and uniformly spaced within 1e-6 s;
     the step is inferred from the first two rows. An empty or zero f0
-    field marks an unvoiced sample.
+    field marks an unvoiced sample. ``digests``, if given, records the
+    SHA-256 of the file's bytes.
     """
     path = Path(path)
-    raw = path.read_bytes()
+    raw = _read_hashed(path, digests)
     columns = _split_plain_f0(raw)
     if columns is None:
         columns = _split_f0_lines(_decode(raw, path), path)

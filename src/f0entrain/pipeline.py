@@ -18,16 +18,21 @@ import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from f0entrain import __version__, entrain, ingest, stats
-from f0entrain.entrain import ROLE_IMITATOR, ROLE_MODEL, CorpusMeasurement
-from f0entrain.errors import ComputeError
+from f0entrain.entrain import (
+    ROLE_IMITATOR,
+    ROLE_MODEL,
+    ContourStore,
+    ContourStoreBuilder,
+    CorpusMeasurement,
+)
+from f0entrain.errors import ComputeError, ValidationError
 from f0entrain.features import (
     FEATURE_NAMES,
-    UtteranceFeatures,
     build_contours,
     parameterize_utterance,
     to_semitones,
@@ -40,7 +45,6 @@ from f0entrain.preprocess import (
     interpolate_unvoiced,
     outlier_bounds,
 )
-from f0entrain.types import F0Track
 
 QUANTILE_CONVENTION = "type7"
 
@@ -101,7 +105,7 @@ class RunConfig:
         return doc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rendition:
     """One speaker's realization of one utterance index in one role."""
 
@@ -112,16 +116,17 @@ class Rendition:
     align_path: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProcessedCorpus:
-    """Every rendition's retained words, keyed by (speaker, index, role) in rendition order.
+    """Every rendition's retained words, in rendition order.
 
-    ``contours`` holds views of the ``utterances`` tables, so each word's
-    numbers are kept once.
+    ``contours`` holds them all: the rendition keys with the offsets of
+    their words, each rendition's word texts, and one read-only
+    ``(7, n_words)`` table of the words' times and features (see
+    ``entrain.ContourStore``).
     """
 
-    utterances: dict[tuple[str, int, str], UtteranceFeatures]
-    contours: dict[tuple[str, int, str], dict[str, np.ndarray]]
+    contours: ContourStore
     dropped_words: int = 0
     untimed_words: int = 0
 
@@ -147,18 +152,26 @@ def collect_renditions(manifest: CorpusManifest) -> list[Rendition]:
     ]
 
 
-def _load_track(rendition: Rendition, config: RunConfig) -> F0Track:
+def _f0_source(rendition: Rendition, config: RunConfig) -> Path:
+    """The F0 CSV a rendition's track is read from: under ``--from-wav``, a WAV's cache."""
     path = Path(rendition.f0_path)
     if config.from_wav and path.suffix.lower() == ".wav":
         # runs with other pitch settings never share a cache
         floor, ceiling = float(config.pitch_floor), float(config.pitch_ceiling)
-        cache = path.with_name(f"{path.stem}.{floor!r}-{ceiling!r}Hz{path.suffix}.f0.csv")
-        if cache.exists():
-            return ingest.load_f0_csv(cache)
-        track = estimate_f0(read_wav(path), PitchConfig(floor, ceiling))
-        ingest.write_f0_csv(track, cache)
-        return ingest.load_f0_csv(cache)  # reread so cached and fresh runs agree
-    return ingest.load_f0_csv(path)
+        return path.with_name(f"{path.stem}.{floor!r}-{ceiling!r}Hz{path.suffix}.f0.csv")
+    return path
+
+
+def _cache_f0(rendition: Rendition, config: RunConfig) -> None:
+    """Estimate and cache the track of a WAV rendition that has no F0 cache yet.
+
+    The track is read back from its cache like any other, so cached and
+    fresh runs agree.
+    """
+    wav, cache = Path(rendition.f0_path), _f0_source(rendition, config)
+    if cache != wav and not cache.exists():
+        pitch = PitchConfig(float(config.pitch_floor), float(config.pitch_ceiling))
+        ingest.write_f0_csv(estimate_f0(read_wav(wav), pitch), cache)
 
 
 @contextmanager
@@ -174,39 +187,51 @@ def _prefixed(prefix: str):
         raise ComputeError(f"{prefix}: {exc}") from exc
 
 
-def process_corpus(manifest: CorpusManifest, config: RunConfig) -> ProcessedCorpus:
-    """Load, clean, and parameterize every rendition of the corpus."""
+def process_corpus(
+    manifest: CorpusManifest, config: RunConfig, digests: dict[str, bytes] | None = None
+) -> ProcessedCorpus:
+    """Load, clean, and parameterize every rendition of the corpus, one at a time.
+
+    Each rendition's track is dropped once its words are in the store, so
+    the first faulty rendition in manifest order is the one named. Under
+    ``--from-wav`` every missing F0 cache is written first. ``--outlier-scope
+    speaker`` reads each F0 file twice: once for its speaker's bounds, once
+    for the track. ``digests``, if given, records the SHA-256 of every F0
+    CSV and alignment read (see ``ingest.load_f0_csv``).
+    """
     renditions = collect_renditions(manifest)
     smoothing = SmoothingConfig(config.window, config.order)
-
-    tracks = [_load_track(r, config) for r in renditions]
+    if config.from_wav:
+        for r in renditions:
+            _cache_f0(r, config)
 
     bounds: dict[str, tuple[float, float]] = {}
     if config.outlier_scope == "speaker":
         grouped: dict[str, list[np.ndarray]] = {}
-        for r, t in zip(renditions, tracks):
+        for r in renditions:
+            track = ingest.load_f0_csv(_f0_source(r, config), digests)
             with _prefixed(r.f0_path):
-                grouped.setdefault(r.speaker, []).append(interpolate_unvoiced(t).values)
+                grouped.setdefault(r.speaker, []).append(interpolate_unvoiced(track).values)
         bounds = {
             spk: outlier_bounds(np.concatenate(vals)) for spk, vals in grouped.items()
         }
+        del grouped
 
-    utterances: dict[tuple[str, int, str], UtteranceFeatures] = {}
-    contours: dict[tuple[str, int, str], dict[str, np.ndarray]] = {}
+    store = ContourStoreBuilder()
     total_dropped = total_untimed = 0
-    for r, track in zip(renditions, tracks):
+    for r in renditions:
+        track = ingest.load_f0_csv(_f0_source(r, config), digests)
         with _prefixed(r.f0_path):
             track = clean_track(track, smoothing, bounds.get(r.speaker))
         if config.semitone is not None:
             track = to_semitones(track, config.semitone)
-        spans, untimed = ingest.load_alignment(r.align_path)
+        spans, untimed = ingest.load_alignment(r.align_path, digests)
         utt, dropped = parameterize_utterance(track, spans, r.speaker, r.index)
-        key = (r.speaker, r.index, r.role)
-        utterances[key] = utt
-        contours[key] = build_contours(utt)
+        build_contours(utt)  # raises unless every contour is non-empty and finite
+        store.add((r.speaker, r.index, r.role), utt.words, utt.table)
         total_dropped += dropped
         total_untimed += untimed
-    return ProcessedCorpus(utterances, contours, total_dropped, total_untimed)
+    return ProcessedCorpus(store.build(), total_dropped, total_untimed)
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +264,16 @@ def flag(b: bool) -> str:
 
 
 def write_features_csv(processed: ProcessedCorpus, path: str | Path) -> None:
-    """One row per retained word, written as it is formatted."""
+    """One row per retained word, in rendition order, written as it is formatted."""
+    store = processed.contours
     row = "%s,%d,%d,%s" + ",%.6f" * 7
     write_table(
         path,
         "speaker,utterance,word_index,word,start_s,end_s,mean,median,slope,range,drop",
         (
-            row % (utt.speaker, utt.utterance_index, word_index, word, *values)
-            for utt in processed.utterances.values()  # in rendition order
-            for word_index, (word, values) in enumerate(zip(utt.words, utt.table.T.tolist()))
+            row % (speaker, index, word_index, word, *values)
+            for ((speaker, index, _), (lo, hi)), words in zip(store.spans.items(), store.words)
+            for word_index, (word, values) in enumerate(zip(words, store.table.T[lo:hi].tolist()))
         ),
     )
 
@@ -334,15 +360,23 @@ def partner_other_ttests(
     return out
 
 
-def corpus_checksum(manifest_path: str | Path, manifest: CorpusManifest) -> str:
-    """SHA-256 over the manifest and all referenced files (content only)."""
+def corpus_checksum(
+    manifest_path: str | Path, manifest: CorpusManifest, digests: Mapping[str, bytes] | None = None
+) -> str:
+    """SHA-256 over the manifest and all referenced files (content only).
+
+    ``digests`` maps a path to the SHA-256 of the bytes ingest read from it;
+    only the files it lacks (the manifest, and WAVs under ``--from-wav``)
+    are read here.
+    """
     digest = hashlib.sha256()
     digest.update(Path(manifest_path).read_bytes())
     paths = set()
     for rec in manifest.utterances:
         paths.update((rec.imitator_f0, rec.model_f0, rec.imitator_align, rec.model_align))
     for p in sorted(paths):
-        digest.update(hashlib.sha256(Path(p).read_bytes()).digest())
+        known = digests.get(p) if digests else None
+        digest.update(known if known is not None else hashlib.sha256(Path(p).read_bytes()).digest())
     return digest.hexdigest()
 
 
@@ -371,7 +405,9 @@ def run_stages(config: RunConfig, needs: Collection[str]) -> Stages:
     score_table = None
     if "scores" in needs and config.scores is not None:
         score_table = ingest.load_scores(config.scores)
-    processed = process_corpus(manifest, config)
+    # the run's record of what ingest read, so the checksum reads each file once
+    digests: dict[str, bytes] | None = {} if "checksum" in needs else None
+    processed = process_corpus(manifest, config, digests)
     measurement = ttests = grid = checksum = None
     if "dtw" in needs:
         measurement = entrain.measure_corpus(
@@ -395,7 +431,7 @@ def run_stages(config: RunConfig, needs: Collection[str]) -> Stages:
                     table, score_table.speaker_means(), alpha=config.alpha, trend=config.trend
                 )
     if "checksum" in needs:
-        checksum = corpus_checksum(config.manifest, manifest)
+        checksum = corpus_checksum(config.manifest, manifest, digests)
     return Stages(config, manifest, processed, measurement, ttests, grid, checksum)
 
 
@@ -431,14 +467,25 @@ BUNDLE = {
 }
 
 
-def run_pipeline(config: RunConfig, files: Sequence[str] = tuple(BUNDLE)) -> list[str]:
+def run_pipeline(
+    config: RunConfig, files: Sequence[str] = tuple(BUNDLE), expected_checksum: str | None = None
+) -> list[str]:
     """Run the stages that ``files`` need, then write those bundle files; return the warnings.
 
     A single file is written at ``config.out``; several go into the
     ``config.out`` directory. Nothing is written, and no directory made,
-    unless every stage succeeds.
+    unless every stage succeeds and, given an ``expected_checksum`` (a
+    replayed run.json's), the corpus has that checksum.
     """
-    stages = run_stages(config, {need for name in files for need in BUNDLE[name][0]})
+    needs = {need for name in files for need in BUNDLE[name][0]}
+    if expected_checksum is not None:
+        needs.add("checksum")
+    stages = run_stages(config, needs)
+    if expected_checksum is not None and stages.checksum != expected_checksum:
+        raise ValidationError(
+            f"{config.manifest}: corpus checksum {stages.checksum} differs from the "
+            f"recorded {expected_checksum}; give --manifest to run on this corpus"
+        )
     out = Path(config.out)
     if len(files) > 1:
         out.mkdir(parents=True, exist_ok=True)

@@ -67,6 +67,15 @@ def render_wavs(corpus: Path) -> None:
     (corpus / "manifest_wav.json").write_text(json.dumps(doc, indent=1, sort_keys=True))
 
 
+def nudge_f0_byte(path: Path) -> None:
+    """Change one digit of the last F0 value in an F0 CSV; the file stays valid."""
+    raw = bytearray(path.read_bytes())
+    i = len(raw) - 2  # the last character of the last row
+    assert chr(raw[i]).isdigit(), "the last sample must be voiced"
+    raw[i] = ord("1") if raw[i] == ord("0") else raw[i] - 1
+    path.write_bytes(bytes(raw))
+
+
 def make_track(values, voiced=None, start=0.0, step=0.01) -> F0Track:
     values = np.asarray(values, dtype=float)
     if voiced is None:

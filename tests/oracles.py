@@ -355,11 +355,14 @@ def _e_raw_by_rescan(imitator, feature, samples) -> float:
 def _other_distance_by_scan(target, feature, manifest, contours, pool):
     from f0entrain.entrain import ROLE_IMITATOR, ROLE_MODEL, dtw_distance
     from f0entrain.errors import ComputeError
+    from f0entrain.features import FEATURE_NAMES
+
+    f = FEATURE_NAMES.index(feature)  # a rendition's contours are the rows of its block
 
     partner = manifest.partner_of(target)
     target_sex = manifest.speaker(target).sex
     imitated = {
-        k: c for (spk, k, role), c in contours.items()
+        k: contours[(spk, k, role)] for spk, k, role in contours.spans
         if spk == target and role == ROLE_IMITATOR
     }
     if not imitated:
@@ -375,9 +378,9 @@ def _other_distance_by_scan(target, feature, manifest, contours, pool):
     for cand in candidates:
         distances = []
         for k in sorted(imitated):
-            model = contours.get((cand, k, ROLE_MODEL))
-            if model is not None:
-                distances.append(dtw_distance(imitated[k][feature], model[feature]))
+            if (cand, k, ROLE_MODEL) in contours.spans:
+                model = contours[(cand, k, ROLE_MODEL)]
+                distances.append(dtw_distance(imitated[k][f], model[f]))
         if distances:
             per_candidate.append(float(np.mean(distances)))
     if not per_candidate:

@@ -20,7 +20,7 @@ from f0entrain.errors import DataError, ParseError
 from f0entrain.pitch import Wave, write_wav
 from f0entrain.stats import GridCell
 
-from conftest import PACKAGE_ROOT, json_files, render_wavs, run_cli
+from conftest import PACKAGE_ROOT, json_files, nudge_f0_byte, render_wavs, run_cli
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +64,35 @@ def test_run_json_round_trip(corpus, tmp_path):
     # rerun configured solely by the recorded run.json
     assert main(["run", "--config", str(out / "run.json")]) == 0
     assert _bundle_bytes(out) == first
+
+
+def test_replay_of_a_changed_corpus_exits_1_and_keeps_the_bundle(tmp_path, capsys):
+    manifest = synth.gen_corpus(synth.SynthConfig(n_dyads=4, n_utterances=2, noise_eps=0.5), tmp_path)
+    out = tmp_path / "bundle"
+    assert main(["run", "--manifest", str(manifest), "--out", str(out)]) == 0
+    first = _bundle_bytes(out)
+    recorded = json.loads(first["run.json"])["corpus_checksum"]
+    nudge_f0_byte(tmp_path / json.loads(manifest.read_text())["utterances"][0]["model_f0"])
+    capsys.readouterr()
+
+    assert main(["run", "--config", str(out / "run.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}: corpus checksum ")
+    changed = pipeline.corpus_checksum(manifest, ingest.load_manifest(manifest))
+    assert f"{changed} differs from the recorded {recorded}" in err
+    assert _bundle_bytes(out) == first
+    # naming the corpus on the command line runs on it as it is now
+    assert main(["run", "--config", str(out / "run.json"), "--manifest", str(manifest)]) == 0
+    assert json.loads((out / "run.json").read_text())["corpus_checksum"] == changed
+
+
+def test_recorded_checksum_must_be_text(corpus, tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"config": {"manifest": str(corpus / "manifest.json"),
+                                           "out": str(tmp_path / "x")}, "corpus_checksum": 7}))
+    assert main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: corpus_checksum must be a string, got 7\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_flat_config_file(corpus, tmp_path):

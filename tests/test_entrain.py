@@ -7,6 +7,7 @@ from f0entrain import pipeline, synth
 from f0entrain.entrain import (
     ROLE_IMITATOR,
     ROLE_MODEL,
+    ContourStoreBuilder,
     inner_dyad_distance,
     measure_corpus,
     normalize_samples,
@@ -112,10 +113,20 @@ def _two_dyad_contours():
     return doc, contours
 
 
+def _store(contours):
+    """The ContourStore of hand-built {feature: values} contours; word times are 0."""
+    builder = ContourStoreBuilder()
+    for key, by_feature in contours.items():
+        features = np.array([by_feature[f] for f in FEATURE_NAMES])
+        times = np.zeros((2, features.shape[1]))
+        builder.add(key, ["w"] * features.shape[1], np.vstack([times, features]))
+    return builder.build()
+
+
 def test_other_distance_counts_both_nonpartners(tmp_path):
     doc, contours = _two_dyad_contours()
     manifest = load_manifest(write_manifest_doc(doc, tmp_path))
-    value, n = other_distance("A", "mean", manifest, contours)
+    value, n = other_distance("A", "mean", manifest, _store(contours))
     assert n == 2  # C and D both eligible
     # E_raw^(A,C) pairs A's imitations (10+k..) with C's models (30+k..):
     # each word differs by 20 -> DTW 60 per utterance; for D 45 -> 135
@@ -129,7 +140,7 @@ def test_other_distance_single_dyad_empty_pool(tmp_path):
     doc["utterances"] = [u for u in doc["utterances"] if u["imitator"] in "AB"]
     manifest = load_manifest(write_manifest_doc(doc, tmp_path))
     with pytest.raises(ComputeError, match="empty surrogate pool"):
-        other_distance("A", "mean", manifest, contours)
+        other_distance("A", "mean", manifest, _store(contours))
 
 
 def test_other_distance_same_sex_pool_respects_sex(tmp_path):
@@ -142,8 +153,8 @@ def test_other_distance_same_sex_pool_respects_sex(tmp_path):
     ]
     manifest = load_manifest(write_manifest_doc(doc, tmp_path))
     with pytest.raises(ComputeError, match="empty surrogate pool"):
-        other_distance("A", "mean", manifest, contours)
-    value, n = other_distance("A", "mean", manifest, contours, pool="all")
+        other_distance("A", "mean", manifest, _store(contours))
+    value, n = other_distance("A", "mean", manifest, _store(contours), pool="all")
     assert n == 2 and value > 0
 
 
@@ -152,7 +163,7 @@ def test_candidates_without_shared_indices_skipped(tmp_path):
     manifest = load_manifest(write_manifest_doc(doc, tmp_path))
     # strip C's model contours entirely: only D remains usable
     contours = {k: v for k, v in contours.items() if not (k[0] == "C" and k[2] == ROLE_MODEL)}
-    value, n = other_distance("A", "mean", manifest, contours)
+    value, n = other_distance("A", "mean", manifest, _store(contours))
     assert n == 1
     assert value == pytest.approx(135.0)
 
@@ -160,7 +171,7 @@ def test_candidates_without_shared_indices_skipped(tmp_path):
 def test_measure_corpus_end_to_end(tmp_path):
     doc, contours = _two_dyad_contours()
     manifest = load_manifest(write_manifest_doc(doc, tmp_path))
-    meas = measure_corpus(manifest, contours)
+    meas = measure_corpus(manifest, _store(contours))
     # A's contours (10+k, 11+k, 12+k) vs B's (11+k, ...): the warped path
     # (0,0),(1,0),(2,1),(2,2) costs 1+0+0+1 = 2, beating the diagonal's 3
     po = {(p.speaker, p.feature): p for p in meas.partner_other}
@@ -198,7 +209,7 @@ def test_e_opt_sums_to_zero_for_symmetric_two_speaker_corpus(tmp_path):
             f: contours[("B", k, ROLE_IMITATOR)][f] + (k + 1.0) for f in FEATURE_NAMES
         }
     manifest = load_manifest(write_manifest_doc(doc, tmp_path))
-    meas = measure_corpus(manifest, contours, with_surrogates=False)
+    meas = measure_corpus(manifest, _store(contours), with_surrogates=False)
     for feature in FEATURE_NAMES:
         by_speaker = [s for s in meas.speaker_scores if s.feature == feature]
         assert len(by_speaker) == 2
@@ -208,7 +219,7 @@ def test_e_opt_sums_to_zero_for_symmetric_two_speaker_corpus(tmp_path):
 def test_e_opt_weighted_zero_mean_across_corpus(tmp_path):
     doc, contours = _two_dyad_contours()
     manifest = load_manifest(write_manifest_doc(doc, tmp_path))
-    meas = measure_corpus(manifest, contours)
+    meas = measure_corpus(manifest, _store(contours))
     for feature in FEATURE_NAMES:
         weighted = [
             s.e_opt * s.n_used for s in meas.speaker_scores if s.feature == feature
@@ -219,7 +230,7 @@ def test_e_opt_weighted_zero_mean_across_corpus(tmp_path):
 def test_norm_se_reports_both(tmp_path):
     doc, contours = _two_dyad_contours()
     manifest = load_manifest(write_manifest_doc(doc, tmp_path))
-    meas = measure_corpus(manifest, contours, norm="se")
+    meas = measure_corpus(manifest, _store(contours), norm="se")
     s = meas.speaker_scores[0]
     n_pool = 8  # 4 speakers x 2 utterances, none removed
     assert s.e_opt_alt == pytest.approx(s.e_opt * np.sqrt(n_pool))

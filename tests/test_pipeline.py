@@ -1,0 +1,149 @@
+"""Properties of a whole pipeline run: what it reads, hashes and reports.
+
+* Each run hashes the bytes its own ingest read; ``corpus_checksum``
+  reads only the manifest, never an F0 CSV or alignment again.
+* Metamorphic relations: reordering the manifest's utterances changes no
+  per-speaker value, and renaming speakers only permutes the report rows.
+* Renditions are processed one at a time, so the first faulty rendition
+  in manifest order is the one an error names.
+"""
+
+import builtins
+import json
+import random
+import re
+from pathlib import Path
+
+import pytest
+
+from f0entrain import ingest, pipeline, synth
+from f0entrain.errors import ParseError
+
+from conftest import nudge_f0_byte
+
+ROW_FILES = ("features.csv", "dtw_samples.csv", "entrain.csv", "validate.csv", "dyads.csv")
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    root = tmp_path_factory.mktemp("corpus")
+    synth.gen_corpus(synth.SynthConfig(n_dyads=4, n_utterances=3, noise_eps=0.6, seed=13), root)
+    return root
+
+
+def _config(manifest, out):
+    return pipeline.RunConfig(manifest=str(manifest), out=str(out))
+
+
+def _rewritten(corpus: Path, name: str, edit) -> Path:
+    """A manifest next to ``corpus``'s, with ``edit`` applied to its document."""
+    doc = json.loads((corpus / "manifest.json").read_text())
+    edit(doc)
+    path = corpus / name
+    path.write_text(json.dumps(doc))
+    return path
+
+
+# ---------------------------------------------------------------------------
+# one hash per input file, per run
+
+
+def test_each_run_checksums_the_bytes_it_read(tmp_path, monkeypatch):
+    manifest_path = synth.gen_corpus(synth.SynthConfig(n_dyads=4, n_utterances=2, noise_eps=0.5, seed=5), tmp_path)
+    manifest = ingest.load_manifest(manifest_path)
+
+    opened = []
+    real_checksum = pipeline.corpus_checksum
+
+    def recording(real_open):
+        def recording_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+        return recording_open
+
+    def spied_checksum(*args):
+        with monkeypatch.context() as m:
+            m.setattr(Path, "open", recording(Path.open))
+            m.setattr(builtins, "open", recording(builtins.open))
+            return real_checksum(*args)
+
+    monkeypatch.setattr(pipeline, "corpus_checksum", spied_checksum)
+
+    checksums = []
+    for run in ("first", "second"):
+        pipeline.run_pipeline(_config(manifest_path, tmp_path / run))
+        checksums.append(json.loads((tmp_path / run / "run.json").read_text())["corpus_checksum"])
+        assert checksums[-1] == real_checksum(manifest_path, manifest)  # hashed from scratch
+        nudge_f0_byte(Path(manifest.utterances[0].imitator_f0))
+    assert checksums[0] != checksums[1]
+    assert opened == [str(manifest_path)] * 2
+
+
+# ---------------------------------------------------------------------------
+# metamorphic relations
+
+
+def _speaker_values(manifest_path: Path) -> dict:
+    stages = pipeline.run_stages(_config(manifest_path, "."), {"dtw", "norm", "surrogates"})
+    m = stages.measurement
+    values = {("score", s.speaker, s.feature): (s.e_raw, s.e_opt, s.n_used) for s in m.speaker_scores}
+    values.update(
+        (("validate", p.speaker, p.feature), (p.partner_distance, p.other_distance, p.n_surrogates))
+        for p in m.partner_other
+    )
+    values.update((("dyad", *d.dyad, d.feature), (d.inner_dyad,)) for d in m.dyad_scores)
+    return values
+
+
+def test_reordering_utterances_keeps_every_speaker_value(corpus):
+    shuffled = _rewritten(
+        corpus, "manifest_shuffled.json", lambda doc: random.Random(3).shuffle(doc["utterances"])
+    )
+    expected = _speaker_values(corpus / "manifest.json")
+    got = _speaker_values(shuffled)
+    assert got.keys() == expected.keys()
+    for key, values in expected.items():
+        # only the order of summation may move a float, by a few ulps
+        assert got[key] == pytest.approx(values, rel=1e-12, abs=1e-12), key
+
+
+def test_renaming_speakers_only_permutes_rows(corpus, tmp_path):
+    ids = [s["id"] for s in json.loads((corpus / "manifest.json").read_text())["speakers"]]
+    # reversed names, so every table sorted by speaker comes out in another order
+    new_name = {old: f"R{len(ids) - i:02d}" for i, old in enumerate(ids)}
+
+    def rename(doc):
+        for speaker in doc["speakers"]:
+            speaker["id"] = new_name[speaker["id"]]
+        doc["dyads"] = [[new_name[a], new_name[b]] for a, b in doc["dyads"]]
+        for rec in doc["utterances"]:
+            rec["imitator"], rec["model"] = new_name[rec["imitator"]], new_name[rec["model"]]
+
+    renamed = _rewritten(corpus, "manifest_renamed.json", rename)
+    pipeline.run_pipeline(_config(corpus / "manifest.json", tmp_path / "a"))
+    pipeline.run_pipeline(_config(renamed, tmp_path / "b"))
+    old_name = {new: old for old, new in new_name.items()}
+    permuted = []
+    for name in ROW_FILES:
+        header, *rows = (tmp_path / "a" / name).read_text().splitlines()
+        header_b, *rows_b = (tmp_path / "b" / name).read_text().splitlines()
+        named_back = [",".join(old_name.get(cell, cell) for cell in row.split(",")) for row in rows_b]
+        assert header_b == header
+        assert sorted(named_back) == sorted(rows), name
+        permuted.append(named_back != rows)
+    assert permuted == [False, False, True, True, False]
+
+
+# ---------------------------------------------------------------------------
+# error order
+
+
+def test_first_faulty_rendition_is_named(tmp_path):
+    manifest_path = synth.gen_corpus(synth.SynthConfig(n_dyads=2, n_utterances=2, seed=1), tmp_path)
+    manifest = ingest.load_manifest(manifest_path)
+    bad_alignment = Path(manifest.utterances[0].imitator_align)  # the first rendition's
+    bad_f0 = Path(manifest.utterances[-1].model_f0)  # the last rendition's
+    bad_alignment.write_text("{")
+    bad_f0.write_text("time_s,f0_hz\nnot,numbers\n")
+    with pytest.raises(ParseError, match="^" + re.escape(f"{bad_alignment}: not valid JSON")):
+        pipeline.run_stages(_config(manifest_path, tmp_path / "out"), ())
