@@ -15,11 +15,10 @@ from __future__ import annotations
 import argparse
 import sys
 import typing
-from contextlib import contextmanager
 from pathlib import Path
 
 from f0entrain import __version__, ingest, pipeline, stats, synth
-from f0entrain.errors import ComputeError, DataError, ParseError, ValidationError
+from f0entrain.errors import ComputeError, DataError, ParseError, ValidationError, prefixed
 from f0entrain.ingest import ALL_CRITERIA
 from f0entrain.preprocess import SmoothingConfig, clean_track
 from f0entrain.pipeline import CHOICES, RunConfig, flag, g6, p3, write_table
@@ -32,15 +31,23 @@ CONFIG_TYPES = {
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-def load_config_file(path: str | Path) -> dict:
-    """Read pipeline options from flat key=value text or a run.json."""
+class ConfigOptions(dict):
+    """A config file's options by RunConfig field, and the corpus checksum it records."""
+
+    corpus_checksum: str | None = None  # None unless a run.json records one
+
+
+def load_config_file(path: str | Path) -> ConfigOptions:
+    """Read pipeline options, and a recorded checksum, from flat key=value text or a run.json."""
     path = Path(path)
     text = ingest.read_utf8(path)
+    checksum = None
     if path.suffix == ".json" or text.lstrip().startswith("{"):
         doc = ingest.parse_json(text, path)
         raw = doc.get("config", doc) if isinstance(doc, dict) else doc
         if not isinstance(raw, dict):
             raise ParseError(f"{path}: expected a JSON object of options")
+        checksum = doc.get("corpus_checksum")
     else:
         raw = {}
         for lineno, line in enumerate(text.splitlines(), start=1):
@@ -52,7 +59,7 @@ def load_config_file(path: str | Path) -> dict:
             key, value = line.split("=", 1)
             raw[key.strip()] = value.strip()
 
-    out = {}
+    out = ConfigOptions()
     for key, value in raw.items():
         if key == "quantile_convention":
             continue  # recorded constant, not an option
@@ -62,18 +69,10 @@ def load_config_file(path: str | Path) -> dict:
             out[key] = _coerce(CONFIG_TYPES[key], value)
         except (ValueError, OverflowError) as exc:  # OverflowError: a JSON int beyond float
             raise ParseError(f"{path}: bad value for {key!r} ({exc})") from None
-    return out
-
-
-def recorded_checksum(path: str | Path) -> str | None:
-    """The corpus checksum a run.json records; None for a config file that records none."""
-    text = ingest.read_utf8(path)
-    if not text.lstrip().startswith("{"):
-        return None
-    checksum = ingest.parse_json(text, path).get("corpus_checksum")
     if checksum is not None and not isinstance(checksum, str):
         raise ParseError(f"{path}: corpus_checksum must be a string, got {checksum!r}")
-    return checksum
+    out.corpus_checksum = checksum
+    return out
 
 
 def _coerce(kind: type, value):
@@ -115,10 +114,11 @@ def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--grid-measure", choices=CHOICES["grid_measure"], dest="grid_measure")
 
 
-def build_run_config(args: argparse.Namespace) -> RunConfig:
-    values: dict = {}
-    if getattr(args, "config", None):
-        values.update(load_config_file(args.config))
+def build_run_config(args: argparse.Namespace) -> tuple[RunConfig, str | None]:
+    """The run's options, and the corpus checksum a run.json replayed without
+    ``--manifest`` expects (a run on another corpus expects none)."""
+    values = load_config_file(args.config) if args.config else ConfigOptions()
+    expected = values.corpus_checksum if args.manifest is None else None
     for name in CONFIG_TYPES:
         given = getattr(args, name, None)
         if given is not None:
@@ -127,18 +127,8 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         raise ParseError("a corpus manifest is required (--manifest or config file)")
     if values.get("out") is None:
         raise ParseError("an output path is required (--out or config file)")
-    with _reraised("bad run option", (ValueError, ValidationError), ParseError):
-        return RunConfig(**values)
-
-
-@contextmanager
-def _reraised(prefix: str, caught: type[Exception] | tuple[type[Exception], ...],
-              raised: type[DataError]):
-    """Re-raise a ``caught`` error as ``raised``, its message after ``prefix: ``."""
-    try:
-        yield
-    except caught as exc:
-        raise raised(f"{prefix}: {exc}") from None
+    with prefixed("bad run option", (ValueError, ValidationError), ParseError):
+        return RunConfig(**values), expected
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +137,7 @@ def _reraised(prefix: str, caught: type[Exception] | tuple[type[Exception], ...]
 
 def cmd_synth(args) -> int:
     # every option is checked before anything is written
-    with _reraised("synth", ValueError, ComputeError):
+    with prefixed("synth", ValueError):
         config = synth.SynthConfig(
             n_dyads=args.dyads,
             n_utterances=args.utts,
@@ -167,7 +157,7 @@ def cmd_synth(args) -> int:
     print(f"wrote corpus: {manifest_path}")
     if args.scores_coupling is not None:
         run_config = RunConfig(manifest=str(manifest_path), out=args.out)
-        table = pipeline.run_stages(run_config, {"dtw"}).measurement.e_raw_table()
+        table = pipeline.run_stages(run_config, {"dtw"}).measurement.table("e_raw")
         rows = synth.gen_scores(
             {spk: feats[synth.SCORE_FEATURE] for spk, feats in table.items()},
             coupling=args.scores_coupling,
@@ -181,7 +171,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    with _reraised("bad option", ValueError, ParseError):
+    with prefixed("bad option", ValueError, ParseError):
         smoothing = SmoothingConfig(args.window, args.order)
     cleaned = clean_track(ingest.load_f0_csv(args.input), smoothing)
     ingest.write_f0_csv(cleaned, args.output)
@@ -202,11 +192,7 @@ PIPELINE_COMMANDS = {
 
 
 def cmd_pipeline(args) -> int:
-    config = build_run_config(args)
-    # a replayed run.json checks its corpus, unless --manifest names another
-    expected = None
-    if args.config and args.manifest is None:
-        expected = recorded_checksum(args.config)
+    config, expected = build_run_config(args)
     for message in pipeline.run_pipeline(config, args.files, expected):
         print(f"warning: {message}", file=sys.stderr)
     if args.command == "run":
@@ -219,7 +205,7 @@ def cmd_pipeline(args) -> int:
 
 def _check_levels(args) -> None:
     """The command's ``--alpha`` and ``--trend``, checked before any input is read."""
-    with _reraised("bad option", ValueError, ParseError):
+    with prefixed("bad option", ValueError, ParseError):
         for name in ("alpha", "trend"):
             if hasattr(args, name):
                 pipeline.check_level(name, getattr(args, name))
@@ -250,7 +236,7 @@ def cmd_stats_ttest(args) -> int:
     lines = []
     for name, group in groups.items():
         x, y = _numbers(args.csv, group, args.x), _numbers(args.csv, group, args.y)
-        with _reraised(f"{args.csv}: group {name}", ComputeError, ComputeError):
+        with prefixed(f"{args.csv}: group {name}"):
             res = stats.paired_t_test(x, y, alpha=args.alpha, trend=args.trend)
         lines.append(
             f"{name},{g6(res.statistic)},{res.df:g},{p3(res.p_value)},"
@@ -264,7 +250,7 @@ def cmd_stats_pearson(args) -> int:
     _check_levels(args)
     rows = _data_rows(args.csv, args.x, args.y)
     x, y = _numbers(args.csv, rows, args.x), _numbers(args.csv, rows, args.y)
-    with _reraised(args.csv, ComputeError, ComputeError):
+    with prefixed(args.csv):
         res = stats.pearson(x, y, alpha=args.alpha, trend=args.trend)
     write_table(args.out, "r,df,p_value,n,significant,trend", [
         f"{g6(res.statistic)},{res.df:g},{p3(res.p_value)},{len(x)},"
@@ -313,7 +299,7 @@ def cmd_grid(args) -> int:
     _check_levels(args)
     table = _entrain_table(args.entrain, args.measure)
     scores = ingest.load_scores(args.scores).speaker_means()
-    with _reraised(f"{args.entrain} with {args.scores}", ComputeError, ComputeError):
+    with prefixed(f"{args.entrain} with {args.scores}"):
         cells = stats.correlate_grid(table, scores, alpha=args.alpha, trend=args.trend)
     pipeline.write_grid_csv(cells, args.out)
     return 0

@@ -2,7 +2,9 @@
 
 For each imitation event, the imitator's and the model's per-word contours
 are compared with dynamic time warping (Euclidean local cost on the 1-D
-feature values, unnormalized path cost). Per speaker and feature:
+feature values, unnormalized path cost). ``compute_samples`` gives every
+event's five distances as one ``(5, events)`` table, a row per feature; the
+per-speaker measures are taken from that table:
 
 * ``e_raw``  - mean DTW distance to the real partner across imitated
   utterances (larger = less entrained);
@@ -11,7 +13,8 @@ feature values, unnormalized path cost). Per speaker and feature:
   when every one of the speaker's distances falls outside the fences;
 * partner / other distance - ``e_raw`` against the real partner vs. the
   average over surrogate (non-partner) pairings on the same utterance
-  indices, same-sex pool by default;
+  indices, same-sex pool by default; ``other_distance`` searches a
+  speaker's surrogates once for all five features;
 * inner-dyad distance - difference of the two partners' ``e_raw`` values
   divided by their mean; positive means the first member is less entrained.
 """
@@ -88,15 +91,6 @@ class ContourStoreBuilder:
 
 
 @dataclass(frozen=True)
-class DtwSample:
-    imitator: str
-    model: str
-    utterance_index: int
-    feature: str
-    distance: float
-
-
-@dataclass(frozen=True)
 class EntrainmentScore:
     speaker: str
     feature: str
@@ -166,23 +160,17 @@ def dtw_distance(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarra
     return prev[m - 1]
 
 
-def compute_samples(manifest: CorpusManifest, contours: ContourStore) -> list[DtwSample]:
-    """DTW distances for every real imitation event x feature, in manifest order."""
-    samples = []
-    for rec in manifest.utterances:
-        imit = contours[(rec.imitator, rec.index, ROLE_IMITATOR)]
-        model = contours[(rec.model, rec.index, ROLE_MODEL)]
-        for f, feature in enumerate(FEATURE_NAMES):
-            samples.append(
-                DtwSample(
-                    imitator=rec.imitator,
-                    model=rec.model,
-                    utterance_index=rec.index,
-                    feature=feature,
-                    distance=dtw_distance(imit[f], model[f]),
-                )
-            )
-    return samples
+def compute_samples(manifest: CorpusManifest, contours: ContourStore) -> np.ndarray:
+    """Read-only ``(5, events)`` table of DTW distances: a row per feature, a column
+    per imitation event in manifest order."""
+    table = np.empty((len(FEATURE_NAMES), len(manifest.utterances)))
+    for e, rec in enumerate(manifest.utterances):
+        # each block converted once for its five DTWs
+        imit = contours[(rec.imitator, rec.index, ROLE_IMITATOR)].tolist()
+        model = contours[(rec.model, rec.index, ROLE_MODEL)].tolist()
+        table[:, e] = [dtw_distance(a, b) for a, b in zip(imit, model)]
+    table.flags.writeable = False
+    return table
 
 
 class NormalizedSamples(NamedTuple):
@@ -215,17 +203,17 @@ def normalize_samples(values: Sequence[float] | np.ndarray) -> NormalizedSamples
 
 def other_distance(
     target: str,
-    feature: str,
     manifest: CorpusManifest,
     contours: ContourStore,
     pool: str = "same-sex",
-) -> tuple[float, int]:
-    """Average surrogate-pair distance for one speaker and feature.
+) -> tuple[list[float], int]:
+    """Average surrogate-pair distance of one speaker, per feature.
 
     Each non-partner in the pool is paired with the target on shared
     utterance indices: the target's imitation of index k against the
     candidate's model-role rendition of index k. Candidates with no index
-    overlap are skipped. Returns (mean over candidates, candidate count).
+    overlap are skipped. Returns (mean over candidates of each feature, in
+    ``FEATURE_NAMES`` order, candidate count).
     """
     if pool not in ("same-sex", "all"):
         raise ValueError(f"unknown surrogate pool policy {pool!r}")
@@ -234,12 +222,8 @@ def other_distance(
     indices = sorted({rec.index for rec in manifest.utterances if rec.imitator == target})
     if not indices:
         raise ComputeError(f"speaker {target!r} imitates no utterance")
-    # the feature's values of every word in the corpus, and each rendition's columns
-    row, spans = contours.table[TABLE_ROWS.index(feature)], contours.spans
-    imitated = {}
-    for k in indices:
-        lo, hi = spans[(target, k, ROLE_IMITATOR)]
-        imitated[k] = row[lo:hi].tolist()  # converted once for all its DTWs
+    # each imitation's five contours, converted once for all its DTWs
+    imitated = {k: contours[(target, k, ROLE_IMITATOR)].tolist() for k in indices}
 
     candidates = []
     for s in manifest.speakers:
@@ -257,21 +241,21 @@ def other_distance(
             hint = "the corpus needs two same-sex dyads, or pass --surrogate-pool all"
         raise ComputeError(f"empty surrogate pool for speaker {target!r} (pool={pool}): {hint}")
 
-    per_candidate = []
+    per_candidate = []  # each usable candidate's mean distance per feature
     for cand in candidates:
-        distances = []
+        distances = []  # the five distances of each shared index, in index order
         for k, imit in imitated.items():
-            span = spans.get((cand, k, ROLE_MODEL))
-            if span is None:
-                continue
-            distances.append(dtw_distance(imit, row[span[0] : span[1]]))
+            key = (cand, k, ROLE_MODEL)
+            if key in contours.spans:
+                model = contours[key].tolist()
+                distances.append([dtw_distance(a, b) for a, b in zip(imit, model)])
         if distances:
-            per_candidate.append(float(np.mean(distances)))
+            per_candidate.append([float(np.mean(column)) for column in zip(*distances)])
     if not per_candidate:
         raise ComputeError(
             f"no surrogate candidate shares utterance indices with speaker {target!r}"
         )
-    return float(np.mean(per_candidate)), len(per_candidate)
+    return [float(np.mean(column)) for column in zip(*per_candidate)], len(per_candidate)
 
 
 def inner_dyad_distance(a_score: float, b_score: float) -> float:
@@ -287,24 +271,23 @@ def inner_dyad_distance(a_score: float, b_score: float) -> float:
     return (a_score - b_score) / mean
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorpusMeasurement:
-    samples: tuple[DtwSample, ...]
+    """Every entrainment measure of a corpus: ``compute_samples``'s ``(5, events)``
+    distance table, then the scores by speaker (dyads in manifest order) and feature."""
+
+    samples: np.ndarray
     speaker_scores: tuple[EntrainmentScore, ...]
     partner_other: tuple[PartnerOther, ...]
     dyad_scores: tuple[DyadScore, ...]
 
-    def e_raw_table(self) -> dict[str, dict[str, float]]:
+    def table(self, measure: str) -> dict[str, dict[str, float]]:
+        """Each speaker's ``measure`` ("e_raw" or "e_opt") by feature; a None e_opt is left out."""
         table: dict[str, dict[str, float]] = {}
         for s in self.speaker_scores:
-            table.setdefault(s.speaker, {})[s.feature] = s.e_raw
-        return table
-
-    def e_opt_table(self) -> dict[str, dict[str, float]]:
-        table: dict[str, dict[str, float]] = {}
-        for s in self.speaker_scores:
-            if s.e_opt is not None:
-                table.setdefault(s.speaker, {})[s.feature] = s.e_opt
+            value = getattr(s, measure)
+            if value is not None:
+                table.setdefault(s.speaker, {})[s.feature] = value
         return table
 
 
@@ -336,18 +319,16 @@ def measure_corpus(
         raise ValueError(f"unknown normalization scope {norm_scope!r}")
     samples = compute_samples(manifest, contours)
     speakers = sorted({rec.imitator for rec in manifest.utterances})
-    # one row of distances per feature, one column per event in manifest order
-    table = np.array([s.distance for s in samples]).reshape(-1, len(FEATURE_NAMES)).T.copy()
     imitators = np.array([rec.imitator for rec in manifest.utterances])
     corpus_norms = []
     if with_normalization and norm_scope == "corpus":
-        corpus_norms = [normalize_samples(row) for row in table]
+        corpus_norms = [normalize_samples(row) for row in samples]
 
     scores: list[EntrainmentScore] = []
     for speaker in speakers:
         own = imitators == speaker
         for f, feature in enumerate(FEATURE_NAMES):
-            mine = table[f][own]
+            mine = samples[f][own]
             e_opt = e_opt_alt = None
             n_used = mine.size
             if with_normalization:
@@ -367,15 +348,18 @@ def measure_corpus(
                 EntrainmentScore(speaker, feature, float(np.mean(mine)), e_opt, n_used, e_opt_alt)
             )
 
+    raw = {(s.speaker, s.feature): s.e_raw for s in scores}
+    # every speaker's normalization comes before any surrogate search, so
+    # an error of the former is the one reported
     partner_other: list[PartnerOther] = []
     if with_surrogates:
-        for s in scores:
-            other, n_sur = other_distance(
-                s.speaker, s.feature, manifest, contours, pool=surrogate_pool
+        for speaker in speakers:
+            others, n_sur = other_distance(speaker, manifest, contours, pool=surrogate_pool)
+            partner_other.extend(
+                PartnerOther(speaker, feature, raw[(speaker, feature)], other, n_sur)
+                for feature, other in zip(FEATURE_NAMES, others)
             )
-            partner_other.append(PartnerOther(s.speaker, s.feature, s.e_raw, other, n_sur))
 
-    raw = {(s.speaker, s.feature): s.e_raw for s in scores}
     dyad_scores = []
     for a, b in manifest.dyads:
         for feature in FEATURE_NAMES:
@@ -383,9 +367,4 @@ def measure_corpus(
                 inner = inner_dyad_distance(raw[(a, feature)], raw[(b, feature)])
                 dyad_scores.append(DyadScore((a, b), feature, inner))
 
-    return CorpusMeasurement(
-        samples=tuple(samples),
-        speaker_scores=tuple(scores),
-        partner_other=tuple(partner_other),
-        dyad_scores=tuple(dyad_scores),
-    )
+    return CorpusMeasurement(samples, tuple(scores), tuple(partner_other), tuple(dyad_scores))

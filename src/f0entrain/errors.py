@@ -4,6 +4,8 @@ The CLI maps DataError subclasses to exit code 1 and OS-level errors
 (missing files, unwritable directories) to exit code 2.
 """
 
+from contextlib import contextmanager
+
 
 class DataError(Exception):
     """Base class for errors caused by corpus content."""
@@ -19,3 +21,13 @@ class ValidationError(DataError):
 
 class ComputeError(DataError):
     """An operation's precondition on the data does not hold (degenerate input)."""
+
+
+@contextmanager
+def prefixed(prefix: str, caught=ComputeError, raised=ComputeError):
+    """Re-raise a ``caught`` error as ``raised``, its message after ``prefix: ``,
+    which names the input or option at fault."""
+    try:
+        yield
+    except caught as exc:
+        raise raised(f"{prefix}: {exc}") from exc

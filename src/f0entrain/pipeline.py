@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Collection, Iterable, Mapping, Sequence
@@ -30,7 +30,7 @@ from f0entrain.entrain import (
     ContourStoreBuilder,
     CorpusMeasurement,
 )
-from f0entrain.errors import ComputeError, ValidationError
+from f0entrain.errors import ValidationError, prefixed
 from f0entrain.features import (
     FEATURE_NAMES,
     build_contours,
@@ -174,30 +174,18 @@ def _cache_f0(rendition: Rendition, config: RunConfig) -> None:
         ingest.write_f0_csv(estimate_f0(read_wav(wav), pitch), cache)
 
 
-@contextmanager
-def _prefixed(prefix: str):
-    """Prefix a ComputeError raised inside with ``prefix: ``, naming the input at fault.
-
-    A track's error names its F0 file; under ``--from-wav`` that is the WAV
-    the track was estimated from.
-    """
-    try:
-        yield
-    except ComputeError as exc:
-        raise ComputeError(f"{prefix}: {exc}") from exc
-
-
 def process_corpus(
     manifest: CorpusManifest, config: RunConfig, digests: dict[str, bytes] | None = None
 ) -> ProcessedCorpus:
     """Load, clean, and parameterize every rendition of the corpus, one at a time.
 
     Each rendition's track is dropped once its words are in the store, so
-    the first faulty rendition in manifest order is the one named. Under
-    ``--from-wav`` every missing F0 cache is written first. ``--outlier-scope
-    speaker`` reads each F0 file twice: once for its speaker's bounds, once
-    for the track. ``digests``, if given, records the SHA-256 of every F0
-    CSV and alignment read (see ``ingest.load_f0_csv``).
+    the first faulty rendition in manifest order is the one named, by its
+    F0 file (under ``--from-wav``, its WAV). Under ``--from-wav`` every
+    missing F0 cache is written first. ``--outlier-scope speaker`` reads
+    each F0 file twice: once for its speaker's bounds, once for the track.
+    ``digests``, if given, records the SHA-256 of every F0 CSV and alignment
+    read (see ``ingest.load_f0_csv``).
     """
     renditions = collect_renditions(manifest)
     smoothing = SmoothingConfig(config.window, config.order)
@@ -210,7 +198,7 @@ def process_corpus(
         grouped: dict[str, list[np.ndarray]] = {}
         for r in renditions:
             track = ingest.load_f0_csv(_f0_source(r, config), digests)
-            with _prefixed(r.f0_path):
+            with prefixed(r.f0_path):
                 grouped.setdefault(r.speaker, []).append(interpolate_unvoiced(track).values)
         bounds = {
             spk: outlier_bounds(np.concatenate(vals)) for spk, vals in grouped.items()
@@ -221,7 +209,7 @@ def process_corpus(
     total_dropped = total_untimed = 0
     for r in renditions:
         track = ingest.load_f0_csv(_f0_source(r, config), digests)
-        with _prefixed(r.f0_path):
+        with prefixed(r.f0_path):
             track = clean_track(track, smoothing, bounds.get(r.speaker))
         if config.semitone is not None:
             track = to_semitones(track, config.semitone)
@@ -278,10 +266,13 @@ def write_features_csv(processed: ProcessedCorpus, path: str | Path) -> None:
     )
 
 
-def write_samples_csv(measurement: CorpusMeasurement, path: str | Path) -> None:
+def write_samples_csv(
+    manifest: CorpusManifest, measurement: CorpusMeasurement, path: str | Path
+) -> None:
     write_table(path, "imitator,model,utterance,feature,dtw", (
-        f"{s.imitator},{s.model},{s.utterance_index},{s.feature},{f6(s.distance)}"
-        for s in measurement.samples
+        f"{rec.imitator},{rec.model},{rec.index},{feature},{f6(distance)}"
+        for rec, distances in zip(manifest.utterances, measurement.samples.T.tolist())
+        for feature, distance in zip(FEATURE_NAMES, distances)
     ))
 
 
@@ -393,22 +384,33 @@ class Stages:
     checksum: str | None = None
 
 
-def run_stages(config: RunConfig, needs: Collection[str]) -> Stages:
+def run_stages(
+    config: RunConfig, needs: Collection[str], expected_checksum: str | None = None
+) -> Stages:
     """Everything the files with these ``needs`` hold, computed before any file is written.
 
     Features always run. ``needs`` may add "dtw" (real-pair distances and
     ``e_raw``), "norm" (``e_opt``), "surrogates" (partner vs. other
     distances and their t-tests), "scores" (the correlation grid, empty
     unless the config names a scores file) and "checksum" (the corpus's).
+    An ``expected_checksum`` (a replayed run.json's) is checked as soon as
+    every input has been read, before the DTW stage.
     """
     manifest = ingest.load_manifest(config.manifest)
     score_table = None
     if "scores" in needs and config.scores is not None:
         score_table = ingest.load_scores(config.scores)
     # the run's record of what ingest read, so the checksum reads each file once
-    digests: dict[str, bytes] | None = {} if "checksum" in needs else None
+    digests = {} if "checksum" in needs or expected_checksum is not None else None
     processed = process_corpus(manifest, config, digests)
     measurement = ttests = grid = checksum = None
+    if digests is not None:
+        checksum = corpus_checksum(config.manifest, manifest, digests)
+        if expected_checksum is not None and checksum != expected_checksum:
+            raise ValidationError(
+                f"{config.manifest}: corpus checksum {checksum} differs from the "
+                f"recorded {expected_checksum}; give --manifest to run on this corpus"
+            )
     if "dtw" in needs:
         measurement = entrain.measure_corpus(
             manifest,
@@ -424,14 +426,11 @@ def run_stages(config: RunConfig, needs: Collection[str]) -> Stages:
     if "scores" in needs:
         grid = []
         if score_table is not None:
-            e_opt = config.grid_measure == "e_opt"
-            table = measurement.e_opt_table() if e_opt else measurement.e_raw_table()
-            with _prefixed(f"{config.scores} with {config.manifest}"):
+            table = measurement.table(config.grid_measure)
+            with prefixed(f"{config.scores} with {config.manifest}"):
                 grid = stats.correlate_grid(
                     table, score_table.speaker_means(), alpha=config.alpha, trend=config.trend
                 )
-    if "checksum" in needs:
-        checksum = corpus_checksum(config.manifest, manifest, digests)
     return Stages(config, manifest, processed, measurement, ttests, grid, checksum)
 
 
@@ -449,7 +448,9 @@ def _write_run_json(stages: Stages, path: Path) -> None:
 # wrapper installed on the module (as perfbench's tracer does) sees the call.
 BUNDLE = {
     "features.csv": ((), lambda s, path: write_features_csv(s.processed, path)),
-    "dtw_samples.csv": (("dtw",), lambda s, path: write_samples_csv(s.measurement, path)),
+    "dtw_samples.csv": (
+        ("dtw",), lambda s, path: write_samples_csv(s.manifest, s.measurement, path)
+    ),
     "entrain.csv": (
         ("dtw", "norm"),
         lambda s, path: write_speaker_csv(s.measurement, path, norm=s.config.norm),
@@ -478,14 +479,7 @@ def run_pipeline(
     replayed run.json's), the corpus has that checksum.
     """
     needs = {need for name in files for need in BUNDLE[name][0]}
-    if expected_checksum is not None:
-        needs.add("checksum")
-    stages = run_stages(config, needs)
-    if expected_checksum is not None and stages.checksum != expected_checksum:
-        raise ValidationError(
-            f"{config.manifest}: corpus checksum {stages.checksum} differs from the "
-            f"recorded {expected_checksum}; give --manifest to run on this corpus"
-        )
+    stages = run_stages(config, needs, expected_checksum)
     out = Path(config.out)
     if len(files) > 1:
         out.mkdir(parents=True, exist_ok=True)

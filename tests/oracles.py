@@ -406,19 +406,35 @@ def measure_corpus_by_rescans(
     fences raises ComputeError, or, with ``empty_outlier_rows``, gets a row
     with ``e_opt`` None and ``n_used`` 0.
     """
+    from types import SimpleNamespace
+
     from f0entrain.entrain import (
+        ROLE_IMITATOR,
+        ROLE_MODEL,
         CorpusMeasurement,
         DyadScore,
         EntrainmentScore,
         PartnerOther,
-        compute_samples,
+        dtw_distance,
         inner_dyad_distance,
         normalize_samples,
     )
     from f0entrain.errors import ComputeError
     from f0entrain.features import FEATURE_NAMES
 
-    samples = compute_samples(manifest, contours)
+    # one record per event and feature, each contour looked up on its own
+    samples = [
+        SimpleNamespace(
+            imitator=rec.imitator,
+            feature=feature,
+            distance=dtw_distance(
+                contours[(rec.imitator, rec.index, ROLE_IMITATOR)][f],
+                contours[(rec.model, rec.index, ROLE_MODEL)][f],
+            ),
+        )
+        for rec in manifest.utterances
+        for f, feature in enumerate(FEATURE_NAMES)
+    ]
     speakers = sorted({rec.imitator for rec in manifest.utterances})
 
     by_feature = {f: [] for f in FEATURE_NAMES}
@@ -496,7 +512,7 @@ def measure_corpus_by_rescans(
             )
 
     return CorpusMeasurement(
-        samples=tuple(samples),
+        samples=np.array([[s.distance for s in by_feature[f]] for f in FEATURE_NAMES]),
         speaker_scores=tuple(scores),
         partner_other=tuple(partner_other),
         dyad_scores=tuple(dyad_scores),

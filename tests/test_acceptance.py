@@ -215,7 +215,7 @@ def test_c08_correlation_grid_recovery(tmp_path):
             synth.SynthConfig(n_dyads=8, n_utterances=10, noise_eps=0.8, seed=808), tmp_path
         )
         measurement = _measure(manifest_path, surrogates=False)
-        raw_table = measurement.e_raw_table()
+        raw_table = measurement.table("e_raw")
         driver = {spk: feats["mean"] for spk, feats in raw_table.items()}
         recovered = []
         for seed in range(50):
@@ -240,14 +240,11 @@ def test_c09_normalization_self_consistency(tmp_path):
             synth.SynthConfig(n_dyads=4, n_utterances=8, noise_eps=0.7, seed=909), tmp_path
         )
         measurement = _measure(manifest_path, surrogates=False)
-        for feature in FEATURE_NAMES:
-            values = np.array(
-                [s.distance for s in measurement.samples if s.feature == feature]
-            )
+        for values in measurement.samples:
             normed = normalize_samples(values)
             assert abs(float(normed.z.mean())) <= 1e-9
             assert abs(float(normed.z.std(ddof=1)) - 1.0) <= 1e-9
-        raw = measurement.e_raw_table()
+        raw = measurement.table("e_raw")
         manifest = ingest.load_manifest(manifest_path)
         for a, b in manifest.dyads:
             for feature in FEATURE_NAMES:

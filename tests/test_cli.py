@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from f0entrain import ingest, pipeline, stats, synth
+from f0entrain import entrain, ingest, pipeline, stats, synth
 from f0entrain.cli import CONFIG_TYPES, build_parser, load_config_file, main
 from f0entrain.errors import DataError, ParseError
 from f0entrain.pitch import Wave, write_wav
@@ -84,6 +84,26 @@ def test_replay_of_a_changed_corpus_exits_1_and_keeps_the_bundle(tmp_path, capsy
     # naming the corpus on the command line runs on it as it is now
     assert main(["run", "--config", str(out / "run.json"), "--manifest", str(manifest)]) == 0
     assert json.loads((out / "run.json").read_text())["corpus_checksum"] == changed
+
+
+def test_replay_checks_the_corpus_before_the_dtw_stage(tmp_path, capsys, monkeypatch):
+    manifest = synth.gen_corpus(synth.SynthConfig(n_dyads=4, n_utterances=2, noise_eps=0.5), tmp_path)
+    out = tmp_path / "bundle"
+    assert main(["run", "--manifest", str(manifest), "--out", str(out)]) == 0
+    recorded = json.loads((out / "run.json").read_text())["corpus_checksum"]
+    nudge_f0_byte(tmp_path / json.loads(manifest.read_text())["utterances"][0]["model_f0"])
+    changed = pipeline.corpus_checksum(manifest, ingest.load_manifest(manifest))
+    capsys.readouterr()
+
+    def no_dtw(*args, **kwargs):
+        raise AssertionError("the DTW stage ran on a corpus whose checksum differs")
+
+    monkeypatch.setattr(entrain, "measure_corpus", no_dtw)
+    assert main(["run", "--config", str(out / "run.json")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {manifest}: corpus checksum {changed} differs from the recorded "
+        f"{recorded}; give --manifest to run on this corpus\n"
+    )
 
 
 def test_recorded_checksum_must_be_text(corpus, tmp_path, capsys):

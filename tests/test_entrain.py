@@ -126,11 +126,12 @@ def _store(contours):
 def test_other_distance_counts_both_nonpartners(tmp_path):
     doc, contours = _two_dyad_contours()
     manifest = load_manifest(write_manifest_doc(doc, tmp_path))
-    value, n = other_distance("A", "mean", manifest, _store(contours))
+    others, n = other_distance("A", manifest, _store(contours))
     assert n == 2  # C and D both eligible
     # E_raw^(A,C) pairs A's imitations (10+k..) with C's models (30+k..):
-    # each word differs by 20 -> DTW 60 per utterance; for D 45 -> 135
-    assert value == pytest.approx((60.0 + 135.0) / 2.0)
+    # each word differs by 20 -> DTW 60 per utterance; for D 45 -> 135;
+    # every feature has the same contours here
+    assert others == pytest.approx([(60.0 + 135.0) / 2.0] * len(FEATURE_NAMES))
 
 
 def test_other_distance_single_dyad_empty_pool(tmp_path):
@@ -140,7 +141,7 @@ def test_other_distance_single_dyad_empty_pool(tmp_path):
     doc["utterances"] = [u for u in doc["utterances"] if u["imitator"] in "AB"]
     manifest = load_manifest(write_manifest_doc(doc, tmp_path))
     with pytest.raises(ComputeError, match="empty surrogate pool"):
-        other_distance("A", "mean", manifest, _store(contours))
+        other_distance("A", manifest, _store(contours))
 
 
 def test_other_distance_same_sex_pool_respects_sex(tmp_path):
@@ -153,9 +154,9 @@ def test_other_distance_same_sex_pool_respects_sex(tmp_path):
     ]
     manifest = load_manifest(write_manifest_doc(doc, tmp_path))
     with pytest.raises(ComputeError, match="empty surrogate pool"):
-        other_distance("A", "mean", manifest, _store(contours))
-    value, n = other_distance("A", "mean", manifest, _store(contours), pool="all")
-    assert n == 2 and value > 0
+        other_distance("A", manifest, _store(contours))
+    others, n = other_distance("A", manifest, _store(contours), pool="all")
+    assert n == 2 and len(others) == len(FEATURE_NAMES) and min(others) > 0
 
 
 def test_candidates_without_shared_indices_skipped(tmp_path):
@@ -163,9 +164,9 @@ def test_candidates_without_shared_indices_skipped(tmp_path):
     manifest = load_manifest(write_manifest_doc(doc, tmp_path))
     # strip C's model contours entirely: only D remains usable
     contours = {k: v for k, v in contours.items() if not (k[0] == "C" and k[2] == ROLE_MODEL)}
-    value, n = other_distance("A", "mean", manifest, _store(contours))
+    others, n = other_distance("A", manifest, _store(contours))
     assert n == 1
-    assert value == pytest.approx(135.0)
+    assert others == pytest.approx([135.0] * len(FEATURE_NAMES))
 
 
 def test_measure_corpus_end_to_end(tmp_path):
@@ -181,17 +182,15 @@ def test_measure_corpus_end_to_end(tmp_path):
     for s in meas.speaker_scores:
         assert po[(s.speaker, s.feature)].partner_distance == s.e_raw
     # corpus-wide normalized samples have mean 0 / sd 1
-    for feature in FEATURE_NAMES:
-        z = []
-        values = np.array([s.distance for s in meas.samples if s.feature == feature])
-        normed = normalize_samples(values)
-        z = normed.z
+    assert meas.samples.shape == (len(FEATURE_NAMES), len(manifest.utterances))
+    for values in meas.samples:
+        z = normalize_samples(values).z
         assert abs(z.mean()) < 1e-9
         assert abs(z.std(ddof=1) - 1.0) < 1e-9
     # dyads are antisymmetric by construction
     for d in meas.dyad_scores:
         a, b = d.dyad
-        raw = meas.e_raw_table()
+        raw = meas.table("e_raw")
         assert d.inner_dyad == -inner_dyad_distance(raw[b][d.feature], raw[a][d.feature])
 
 
@@ -282,4 +281,8 @@ def test_measure_corpus_matches_rescans(
             manifest, contours, empty_outlier_rows=True, **options
         )
         assert [(s.speaker, s.feature) for s in expected.speaker_scores if s.n_used == 0]
-    assert measure_corpus(manifest, contours, **options) == expected
+    got = measure_corpus(manifest, contours, **options)
+    assert np.array_equal(got.samples, expected.samples)
+    assert (got.speaker_scores, got.partner_other, got.dyad_scores) == (
+        expected.speaker_scores, expected.partner_other, expected.dyad_scores
+    )

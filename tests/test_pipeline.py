@@ -3,7 +3,8 @@
 * Each run hashes the bytes its own ingest read; ``corpus_checksum``
   reads only the manifest, never an F0 CSV or alignment again.
 * Metamorphic relations: reordering the manifest's utterances changes no
-  per-speaker value, and renaming speakers only permutes the report rows.
+  per-speaker value, renaming speakers only permutes the report rows, and
+  swapping each dyad's members only swaps and negates the dyads.csv rows.
 * Renditions are processed one at a time, so the first faulty rendition
   in manifest order is the one an error names.
 """
@@ -12,6 +13,7 @@ import builtins
 import json
 import random
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -132,6 +134,36 @@ def test_renaming_speakers_only_permutes_rows(corpus, tmp_path):
         assert sorted(named_back) == sorted(rows), name
         permuted.append(named_back != rows)
     assert permuted == [False, False, True, True, False]
+
+
+def test_swapping_dyad_members_only_swaps_and_negates_inner_dyad(corpus, tmp_path):
+    # the manifest and the bundle keep their paths, so run.json records the same config
+    root = tmp_path / "corpus"
+    shutil.copytree(corpus, root)
+    bundles = []
+    for swap in (False, True):
+        if swap:
+            _rewritten(root, "manifest.json", lambda doc: doc.update(
+                dyads=[[b, a] for a, b in doc["dyads"]]
+            ))
+        pipeline.run_pipeline(_config(root / "manifest.json", tmp_path / "bundle"))
+        bundles.append({p.name: p.read_bytes() for p in (tmp_path / "bundle").iterdir()})
+    before, after = bundles
+    assert before.keys() == after.keys() == set(pipeline.BUNDLE)
+
+    header, *rows = before.pop("dyads.csv").decode().splitlines()
+    header_b, *rows_b = after.pop("dyads.csv").decode().splitlines()
+    assert header_b == header
+    assert len(rows_b) == len(rows)
+    for row, row_b in zip(rows, rows_b):
+        a, b, feature, inner = row.split(",")
+        assert row_b.split(",")[:3] == [b, a, feature]
+        assert float(row_b.split(",")[3]) == -float(inner)
+
+    run, run_b = json.loads(before.pop("run.json")), json.loads(after.pop("run.json"))
+    assert run.pop("corpus_checksum") != run_b.pop("corpus_checksum")
+    assert run_b == run
+    assert after == before  # the other six files, byte for byte
 
 
 # ---------------------------------------------------------------------------
