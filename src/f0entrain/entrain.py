@@ -116,13 +116,13 @@ class DyadScore:
     inner_dyad: float
 
 
-def dtw_distance(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> float:
+def dtw_distance(a: Sequence[float], b: Sequence[float]) -> float:
     """Classic DTW cost between two non-empty 1-D sequences.
 
     Local cost |a_i - b_j|; diagonal, horizontal, and vertical steps each
     add one local cost; the path is boundary-to-boundary with no warping
     window; the total path cost is returned unnormalized (Sakoe & Chiba
-    1978, full window). Runs on plain Python floats: for the short
+    1978, full window). Takes lists of plain Python floats: for the short
     contours compared here (roughly 6-13 values), list indexing beats
     per-element numpy access by a wide margin.
     """
@@ -130,10 +130,6 @@ def dtw_distance(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarra
     m = len(b)
     if n == 0 or m == 0:
         raise ComputeError("dtw_distance requires non-empty sequences")
-    if isinstance(a, np.ndarray):
-        a = a.tolist()
-    if isinstance(b, np.ndarray):
-        b = b.tolist()
 
     b0 = b[0]
     a0 = a[0]

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -34,17 +33,6 @@ FEATURE_NAMES = ("mean", "median", "slope", "range", "drop")
 TABLE_ROWS = ("start_s", "end_s") + FEATURE_NAMES
 
 SEMITONES_PER_OCTAVE = 12.0
-
-
-class WordFeatures(NamedTuple):
-    mean: float
-    median: float
-    slope: float
-    range: float
-    drop: float
-
-    def value(self, feature: str) -> float:
-        return getattr(self, feature)
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,8 +66,8 @@ def _word_grid(n: int):
     return times, times[::-1], centered, float(np.dot(centered, centered)), positions
 
 
-def _summarize(y: np.ndarray, step: float) -> WordFeatures:
-    """Five features of one word's n >= 2 samples ``y``, taken ``step`` s apart."""
+def _summarize(y: np.ndarray, step: float) -> tuple[float, float, float, float, float]:
+    """The five features, in FEATURE_NAMES order, of n >= 2 samples ``y`` taken ``step`` s apart."""
     n = y.size
     times, reversed_times, centered, sxx, (mid, p05, p95) = _word_grid(n)
     mean = float(np.add.reduce(y)) / n  # what y.mean() computes
@@ -105,15 +93,7 @@ def _summarize(y: np.ndarray, step: float) -> WordFeatures:
 
     first = intercept + slope * times[0]
     last = intercept + slope * times[-1]
-    return WordFeatures(mean, median, slope, q95 - q05, (last - first) / ((n - 1) * step))
-
-
-def word_features(segment: F0Track, span: WordSpan) -> WordFeatures:
-    """Five-feature summary of one word's pitch samples (see module doc)."""
-    n = segment.values.size
-    if n < 2:
-        raise ComputeError(f"word {span.text!r}: need at least 2 samples, got {n}")
-    return _summarize(segment.values, segment.step)
+    return mean, median, slope, q95 - q05, (last - first) / ((n - 1) * step)
 
 
 def to_semitones(track: F0Track, reference_hz: float) -> F0Track:

@@ -183,7 +183,8 @@ def process_corpus(
     the first faulty rendition in manifest order is the one named, by its
     F0 file (under ``--from-wav``, its WAV). Under ``--from-wav`` every
     missing F0 cache is written first. ``--outlier-scope speaker`` reads
-    each F0 file twice: once for its speaker's bounds, once for the track.
+    each F0 file twice: once for its speaker's bounds, once for the track;
+    the first pass drops a speaker's samples at its last rendition.
     ``digests``, if given, records the SHA-256 of every F0 CSV and alignment
     read (see ``ingest.load_f0_csv``).
     """
@@ -195,15 +196,14 @@ def process_corpus(
 
     bounds: dict[str, tuple[float, float]] = {}
     if config.outlier_scope == "speaker":
-        grouped: dict[str, list[np.ndarray]] = {}
-        for r in renditions:
+        last = {r.speaker: i for i, r in enumerate(renditions)}
+        pending: dict[str, list[np.ndarray]] = {}
+        for i, r in enumerate(renditions):
             track = ingest.load_f0_csv(_f0_source(r, config), digests)
             with prefixed(r.f0_path):
-                grouped.setdefault(r.speaker, []).append(interpolate_unvoiced(track).values)
-        bounds = {
-            spk: outlier_bounds(np.concatenate(vals)) for spk, vals in grouped.items()
-        }
-        del grouped
+                pending.setdefault(r.speaker, []).append(interpolate_unvoiced(track).values)
+            if i == last[r.speaker]:
+                bounds[r.speaker] = outlier_bounds(np.concatenate(pending.pop(r.speaker)))
 
     store = ContourStoreBuilder()
     total_dropped = total_untimed = 0

@@ -94,16 +94,6 @@ def read_wav(path: str | Path) -> Wave:
     return Wave(sample_rate=float(rate), samples=data / 32768.0)
 
 
-def write_wav(wave: Wave, path: str | Path) -> None:
-    """Write mono 16-bit PCM (mainly for tests and small demos)."""
-    pcm = np.clip(np.round(wave.samples * 32767.0), -32768, 32767).astype("<i2")
-    with wave_io.open(str(path), "wb") as fh:
-        fh.setnchannels(1)
-        fh.setsampwidth(2)
-        fh.setframerate(int(wave.sample_rate))
-        fh.writeframes(pcm.tobytes())
-
-
 def _autocorrelation(rows: np.ndarray, fft_len: int, n_lags: int) -> np.ndarray:
     """Autocorrelation of each row at lags 0 .. n_lags - 1, through the FFT.
 

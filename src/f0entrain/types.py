@@ -58,16 +58,6 @@ class F0Track:
             voiced = self.voiced
         return F0Track(self.start_time, self.step, values, voiced)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, F0Track):
-            return NotImplemented
-        return (
-            self.start_time == other.start_time
-            and self.step == other.step
-            and np.array_equal(self.values, other.values)
-            and np.array_equal(self.voiced, other.voiced)
-        )
-
 
 @dataclass(frozen=True)
 class WordSpan:

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
 import f0entrain
-from f0entrain.types import F0Track
+from f0entrain.features import FEATURE_NAMES, parameterize_utterance
+from f0entrain.types import F0Track, WordSpan
 
 # the directory that holds the f0entrain package this process imported
 PACKAGE_ROOT = str(Path(f0entrain.__file__).resolve().parents[1])
@@ -36,6 +37,15 @@ WAV_RATE = 16000
 WAV_AMPLITUDE = 0.4
 
 
+def write_wav(path: Path, signal: np.ndarray, rate: int = WAV_RATE) -> None:
+    """Write ``signal``, scaled to [-1, 1], as a mono 16-bit PCM WAV."""
+    with wave.open(str(path), "wb") as fh:
+        fh.setnchannels(1)
+        fh.setsampwidth(2)
+        fh.setframerate(rate)
+        fh.writeframes(np.round(signal * 32767.0).astype("<i2").tobytes())
+
+
 def render_wavs(corpus: Path) -> None:
     """Render every F0 track of a synth corpus as a 16 kHz sine.
 
@@ -54,12 +64,7 @@ def render_wavs(corpus: Path) -> None:
         inst = np.interp(t, times, f0)
         phase = 2.0 * np.pi * np.cumsum(inst) / WAV_RATE
         signal = np.where(inst > 0.0, WAV_AMPLITUDE * np.sin(phase), 0.0)
-        pcm = np.round(signal * 32767.0).astype("<i2")
-        with wave.open(str(corpus / "wav" / (csv_path.stem + ".wav")), "wb") as fh:
-            fh.setnchannels(1)
-            fh.setsampwidth(2)
-            fh.setframerate(WAV_RATE)
-            fh.writeframes(pcm.tobytes())
+        write_wav(corpus / "wav" / (csv_path.stem + ".wav"), signal)
     doc = json.loads((corpus / "manifest.json").read_text())
     for rec in doc["utterances"]:
         for key in ("imitator_f0", "model_f0"):
@@ -81,6 +86,17 @@ def make_track(values, voiced=None, start=0.0, step=0.01) -> F0Track:
     if voiced is None:
         voiced = np.ones(values.size, dtype=bool)
     return F0Track(start_time=start, step=step, values=values, voiced=np.asarray(voiced, bool))
+
+
+def one_word_features(segment: F0Track) -> dict[str, float] | None:
+    """The features, by name, of one word spanning every sample of ``segment``.
+
+    They come from ``parameterize_utterance``, as in a run, so a word with
+    fewer than 2 samples is dropped: the result is then None.
+    """
+    span = WordSpan("w", segment.start_time, segment.start_time + len(segment) * segment.step)
+    utt, _ = parameterize_utterance(segment, [span], "S", 0)
+    return dict(zip(FEATURE_NAMES, utt.table[2:, 0].tolist())) if utt.words else None
 
 
 def minimal_manifest_doc() -> dict:

@@ -15,12 +15,11 @@ import numpy as np
 
 from f0entrain import entrain, ingest, pipeline, stats, synth
 from f0entrain.entrain import inner_dyad_distance, normalize_samples
-from f0entrain.features import FEATURE_NAMES, word_features
+from f0entrain.features import FEATURE_NAMES
 from f0entrain.preprocess import SmoothingConfig, outlier_bounds, sg_coefficients, sg_smooth, two_pass_outlier
 from f0entrain.stats import TestResult, icc_3k, one_sided_p, pearson, reg_inc_beta, t_sf
-from f0entrain.types import WordSpan
 
-from conftest import make_track, run_cli
+from conftest import make_track, one_word_features, run_cli
 from oracles import dtw_bruteforce
 
 
@@ -51,7 +50,8 @@ def test_c01_dtw_oracle_equivalence():
         for _ in range(1000):
             a = rng.integers(0, 10, size=int(rng.integers(1, 7))).astype(float)
             b = rng.integers(0, 10, size=int(rng.integers(1, 7))).astype(float)
-            assert entrain.dtw_distance(a, b) == dtw_bruteforce(a.tolist(), b.tolist())
+            a, b = a.tolist(), b.tolist()
+            assert entrain.dtw_distance(a, b) == dtw_bruteforce(a, b)
         elapsed = time.perf_counter() - started
         assert elapsed < 10.0, f"oracle comparison took {elapsed:.1f}s"
 
@@ -97,35 +97,30 @@ def test_c03_two_pass_outlier_containment():
 def test_c04_feature_algebra():
     with criterion(4, "shift/scale/time-reversal feature algebra on 1000 segments"):
         rng = np.random.default_rng(104)
-        span = WordSpan("w", 0.0, 10.0)
         for _ in range(1000):
             n = int(rng.integers(2, 40))
             y = rng.uniform(60, 450, size=n)
             segment = make_track(y)
-            base = word_features(segment, span)
+            base = one_word_features(segment)
             c = float(rng.uniform(-150, 150))
             k = float(rng.uniform(0.1, 6.0))
 
-            shifted = word_features(segment.replace_values(y + c), span)
-            assert math.isclose(shifted.mean, base.mean + c, rel_tol=1e-9, abs_tol=1e-7)
-            assert math.isclose(shifted.median, base.median + c, rel_tol=1e-9, abs_tol=1e-7)
+            shifted = one_word_features(segment.replace_values(y + c))
+            assert math.isclose(shifted["mean"], base["mean"] + c, rel_tol=1e-9, abs_tol=1e-7)
+            assert math.isclose(shifted["median"], base["median"] + c, rel_tol=1e-9, abs_tol=1e-7)
             for name in ("slope", "range", "drop"):
-                assert math.isclose(
-                    shifted.value(name), base.value(name), rel_tol=1e-9, abs_tol=1e-7
-                )
+                assert math.isclose(shifted[name], base[name], rel_tol=1e-9, abs_tol=1e-7)
 
-            scaled = word_features(segment.replace_values(y * k), span)
+            scaled = one_word_features(segment.replace_values(y * k))
             for name in FEATURE_NAMES:
-                assert math.isclose(
-                    scaled.value(name), k * base.value(name), rel_tol=1e-9, abs_tol=1e-7
-                )
+                assert math.isclose(scaled[name], k * base[name], rel_tol=1e-9, abs_tol=1e-7)
 
-            reversed_ = word_features(segment.replace_values(y[::-1]), span)
-            assert math.isclose(reversed_.mean, base.mean, rel_tol=1e-9, abs_tol=1e-9)
-            assert math.isclose(reversed_.median, base.median, rel_tol=1e-9, abs_tol=1e-9)
-            assert math.isclose(reversed_.slope, -base.slope, rel_tol=1e-9, abs_tol=1e-7)
-            assert math.isclose(reversed_.range, base.range, rel_tol=1e-9, abs_tol=1e-7)
-            assert math.isclose(reversed_.drop, -base.drop, rel_tol=1e-9, abs_tol=1e-7)
+            reversed_ = one_word_features(segment.replace_values(y[::-1]))
+            assert math.isclose(reversed_["mean"], base["mean"], rel_tol=1e-9, abs_tol=1e-9)
+            assert math.isclose(reversed_["median"], base["median"], rel_tol=1e-9, abs_tol=1e-9)
+            assert math.isclose(reversed_["slope"], -base["slope"], rel_tol=1e-9, abs_tol=1e-7)
+            assert math.isclose(reversed_["range"], base["range"], rel_tol=1e-9, abs_tol=1e-7)
+            assert math.isclose(reversed_["drop"], -base["drop"], rel_tol=1e-9, abs_tol=1e-7)
 
 
 def test_c05_statistics_kernel(tmp_path):

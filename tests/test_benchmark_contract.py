@@ -2,11 +2,12 @@
 
 ``perfbench/tracing.py`` wraps f0entrain functions by name from outside
 the program; a renamed function, a changed call pattern or result shape
-makes a per-layer metric read "absent", and the benchmark's traced run
-then prints no result. This test runs the tracer as the benchmark does,
-as a child process on a small synth corpus, once from F0 CSVs and once
-from WAVs, and requires every ``per_layer`` metric that
-``BENCHMARK.json`` names. It only reads ``perfbench/``.
+makes a per-layer metric read "absent": the traced run still prints its
+result, without that metric, and ``run.py`` lists the metric as absent.
+This test runs the tracer as the benchmark does, as a child process on
+a small synth corpus, once from F0 CSVs and once from WAVs, and requires
+every ``per_layer`` metric that ``BENCHMARK.json`` names. It only reads
+``perfbench/``.
 """
 
 import importlib.util

@@ -17,10 +17,9 @@ from hypothesis import given, settings, strategies as st
 from f0entrain import entrain, ingest, pipeline, stats, synth
 from f0entrain.cli import CONFIG_TYPES, build_parser, load_config_file, main
 from f0entrain.errors import DataError, ParseError
-from f0entrain.pitch import Wave, write_wav
 from f0entrain.stats import GridCell
 
-from conftest import PACKAGE_ROOT, json_files, nudge_f0_byte, render_wavs, run_cli
+from conftest import PACKAGE_ROOT, json_files, nudge_f0_byte, render_wavs, run_cli, write_wav
 
 
 @pytest.fixture(scope="module")
@@ -577,7 +576,7 @@ def test_from_wav_pipeline(tmp_path):
             words.append({"word": f"w{w}", "start": round(t0, 6), "end": round(t0 + dur, 6)})
             t0 += dur
         name = f"{speaker}_{index}_{role}"
-        write_wav(Wave(fs, np.concatenate(samples)), tmp_path / "wav" / f"{name}.wav")
+        write_wav(tmp_path / "wav" / f"{name}.wav", np.concatenate(samples), fs)
         (tmp_path / "align" / f"{name}.json").write_text(
             json.dumps({"segments": [{"words": words}]})
         )
@@ -636,7 +635,7 @@ def test_all_unvoiced_csv_track_names_its_file(small_corpus, tmp_path, capsys, s
 def test_silent_wav_names_its_file(small_corpus, tmp_path, capsys):
     corpus_dir = shutil.copytree(small_corpus, tmp_path / "c")
     wav = corpus_dir / "wav" / "S05_000_model.wav"
-    write_wav(Wave(16000, np.zeros(16000)), wav)
+    write_wav(wav, np.zeros(16000))
     code = main(["run", "--manifest", str(corpus_dir / "manifest_wav.json"),
                  "--from-wav", "--out", str(tmp_path / "r")])
     assert code == 1

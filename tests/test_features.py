@@ -9,15 +9,12 @@ from f0entrain.features import (
     build_contours,
     parameterize_utterance,
     to_semitones,
-    word_features,
 )
 from f0entrain.quantiles import quantiles
 from f0entrain.types import WordSpan
 
-from conftest import make_track
+from conftest import make_track, one_word_features
 from oracles import ols_line, parameterize_by_slicing, word_features_by_sorting
-
-SPAN = WordSpan("w", 0.0, 10.0)  # generous span; slicing is tested elsewhere
 
 segments = st.lists(
     st.floats(min_value=50, max_value=500), min_size=2, max_size=40
@@ -30,8 +27,8 @@ segments = st.lists(
 
 
 def _line(values):
-    wf = word_features(make_track(values), SPAN)
-    return wf.mean - wf.slope / 2, wf.slope
+    wf = one_word_features(make_track(values))
+    return wf["mean"] - wf["slope"] / 2, wf["slope"]
 
 
 def test_fit_exact_line():
@@ -54,8 +51,8 @@ def test_fit_ols_closed_form():
 
 
 def test_fit_single_sample_degenerate():
-    with pytest.raises(ComputeError, match="need at least 2 samples"):
-        _line([100.0])
+    # no line through one sample: the word is dropped
+    assert one_word_features(make_track([100.0])) is None
 
 
 @settings(max_examples=100, deadline=None)
@@ -76,80 +73,78 @@ def test_fit_matches_oracle(segment):
 def test_word_features_worked_example():
     # values (100, 110, 120) at 0.40, 0.45, 0.50 s
     segment = make_track([100, 110, 120], start=0.40, step=0.05)
-    wf = word_features(segment, WordSpan("w", 0.40, 0.50))
-    assert wf.mean == pytest.approx(110.0)
-    assert wf.median == pytest.approx(110.0)
-    assert wf.slope == pytest.approx(20.0)
+    wf = one_word_features(segment)
+    assert wf["mean"] == pytest.approx(110.0)
+    assert wf["median"] == pytest.approx(110.0)
+    assert wf["slope"] == pytest.approx(20.0)
     # fitted (100, 110, 120): p95 at h=1.9 -> 119, p5 at h=0.1 -> 101
-    assert wf.range == pytest.approx(18.0, abs=1e-9)
-    assert wf.drop == pytest.approx(200.0)
+    assert wf["range"] == pytest.approx(18.0, abs=1e-9)
+    assert wf["drop"] == pytest.approx(200.0)
 
 
 def test_word_features_constant():
     segment = make_track([150] * 8)
-    wf = word_features(segment, SPAN)
-    assert (wf.mean, wf.median, wf.slope, wf.range, wf.drop) == (150.0, 150.0, 0.0, 0.0, 0.0)
+    wf = one_word_features(segment)
+    assert tuple(wf.values()) == (150.0, 150.0, 0.0, 0.0, 0.0)
 
 
 def test_word_features_sign_symmetry():
     segment = make_track([120, 110, 100], start=0.0, step=0.05)
-    wf = word_features(segment, SPAN)
-    assert wf.slope == pytest.approx(-20.0)
-    assert wf.drop == pytest.approx(-200.0)
-    assert wf.range == pytest.approx(18.0, abs=1e-9)
+    wf = one_word_features(segment)
+    assert wf["slope"] == pytest.approx(-20.0)
+    assert wf["drop"] == pytest.approx(-200.0)
+    assert wf["range"] == pytest.approx(18.0, abs=1e-9)
 
 
 @settings(max_examples=80, deadline=None)
 @given(segments, st.floats(min_value=-200, max_value=200))
 def test_shift_invariance(segment, c):
-    base = word_features(segment, SPAN)
-    shifted = word_features(segment.replace_values(segment.values + c), SPAN)
-    assert shifted.mean == pytest.approx(base.mean + c, rel=1e-9, abs=1e-6)
-    assert shifted.median == pytest.approx(base.median + c, rel=1e-9, abs=1e-6)
-    assert shifted.slope == pytest.approx(base.slope, rel=1e-9, abs=1e-6)
-    assert shifted.range == pytest.approx(base.range, rel=1e-9, abs=1e-6)
-    assert shifted.drop == pytest.approx(base.drop, rel=1e-9, abs=1e-6)
+    base = one_word_features(segment)
+    shifted = one_word_features(segment.replace_values(segment.values + c))
+    assert shifted["mean"] == pytest.approx(base["mean"] + c, rel=1e-9, abs=1e-6)
+    assert shifted["median"] == pytest.approx(base["median"] + c, rel=1e-9, abs=1e-6)
+    assert shifted["slope"] == pytest.approx(base["slope"], rel=1e-9, abs=1e-6)
+    assert shifted["range"] == pytest.approx(base["range"], rel=1e-9, abs=1e-6)
+    assert shifted["drop"] == pytest.approx(base["drop"], rel=1e-9, abs=1e-6)
 
 
 @settings(max_examples=80, deadline=None)
 @given(segments, st.floats(min_value=0.01, max_value=10))
 def test_scale_covariance(segment, k):
-    base = word_features(segment, SPAN)
-    scaled = word_features(segment.replace_values(segment.values * k), SPAN)
+    base = one_word_features(segment)
+    scaled = one_word_features(segment.replace_values(segment.values * k))
     for name in FEATURE_NAMES:
-        assert scaled.value(name) == pytest.approx(
-            k * base.value(name), rel=1e-9, abs=1e-6
-        ), name
+        assert scaled[name] == pytest.approx(k * base[name], rel=1e-9, abs=1e-6), name
 
 
 @settings(max_examples=80, deadline=None)
 @given(segments)
 def test_time_reversal(segment):
-    base = word_features(segment, SPAN)
-    reversed_ = word_features(segment.replace_values(segment.values[::-1]), SPAN)
-    assert reversed_.mean == pytest.approx(base.mean, abs=1e-9)
-    assert reversed_.median == pytest.approx(base.median, abs=1e-9)
-    assert reversed_.slope == pytest.approx(-base.slope, rel=1e-9, abs=1e-6)
-    assert reversed_.range == pytest.approx(base.range, rel=1e-9, abs=1e-6)
-    assert reversed_.drop == pytest.approx(-base.drop, rel=1e-9, abs=1e-6)
+    base = one_word_features(segment)
+    reversed_ = one_word_features(segment.replace_values(segment.values[::-1]))
+    assert reversed_["mean"] == pytest.approx(base["mean"], abs=1e-9)
+    assert reversed_["median"] == pytest.approx(base["median"], abs=1e-9)
+    assert reversed_["slope"] == pytest.approx(-base["slope"], rel=1e-9, abs=1e-6)
+    assert reversed_["range"] == pytest.approx(base["range"], rel=1e-9, abs=1e-6)
+    assert reversed_["drop"] == pytest.approx(-base["drop"], rel=1e-9, abs=1e-6)
 
 
 @settings(max_examples=80, deadline=None)
 @given(segments)
 def test_range_equals_slope_times_tn_percentile_span(segment):
-    wf = word_features(segment, SPAN)
+    wf = one_word_features(segment)
     n = len(segment)
     t_n = np.arange(n) / (n - 1)
     q05, q95 = quantiles(t_n, (0.05, 0.95))
-    expected = abs(wf.slope) * (q95 - q05)
-    assert wf.range == pytest.approx(expected, rel=1e-9, abs=1e-9)
+    expected = abs(wf["slope"]) * (q95 - q05)
+    assert wf["range"] == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
 @settings(max_examples=200, deadline=None)
 @given(segments)
 def test_word_features_equal_sorting_reference(segment):
     expected = word_features_by_sorting(segment.values, segment.step)
-    assert tuple(word_features(segment, SPAN)) == expected
+    assert tuple(one_word_features(segment).values()) == expected
 
 
 @st.composite

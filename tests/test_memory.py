@@ -5,7 +5,9 @@ All are measured with tracemalloc on the golden-shaped corpus (4 dyads x
 corpus's contour store, so a retained word costs its 56 bytes of floats,
 its share of its rendition's word tuple, key and offset, and a text that
 equal words share. ``process_corpus`` holds one rendition's track at a
-time, so what it holds above what it keeps hardly grows with the corpus.
+time, so what it holds above what it keeps hardly grows with the corpus;
+under ``--outlier-scope speaker`` its first pass holds one speaker's
+samples at a time.
 """
 
 import tracemalloc
@@ -17,10 +19,12 @@ from f0entrain import ingest, pipeline, synth
 MAX_RETAINED_BYTES_PER_WORD = 120
 
 
-def _golden_shaped(out, n_utterances):
-    config = synth.SynthConfig(n_dyads=4, n_utterances=n_utterances, noise_eps=0.5, seed=7)
+def _golden_shaped(out, n_utterances, n_dyads=4, outlier_scope="utterance"):
+    config = synth.SynthConfig(n_dyads=n_dyads, n_utterances=n_utterances, noise_eps=0.5, seed=7)
     manifest_path = synth.gen_corpus(config, out)
-    run_config = pipeline.RunConfig(manifest=str(manifest_path), out=str(out / "report"))
+    run_config = pipeline.RunConfig(
+        manifest=str(manifest_path), out=str(out / "report"), outlier_scope=outlier_scope
+    )
     return ingest.load_manifest(manifest_path), run_config
 
 
@@ -54,6 +58,19 @@ def test_process_corpus_peak_does_not_grow_with_the_corpus(golden_shaped, tmp_pa
     # one small record per rendition, not every track of the corpus
     _, retained, peak = _traced_process_corpus(*golden_shaped)
     _, retained_2x, peak_2x = _traced_process_corpus(*_golden_shaped(tmp_path, 16))
+    assert retained_2x > 1.8 * retained
+    assert (peak_2x - retained_2x) - (peak - retained) < (retained_2x - retained) / 4
+
+
+def test_speaker_bounds_hold_one_speaker_at_a_time(tmp_path):
+    # the first pass of --outlier-scope speaker drops each speaker's samples
+    # once its bounds are known, so twice the dyads hardly raise the peak
+    _, retained, peak = _traced_process_corpus(
+        *_golden_shaped(tmp_path / "4", 8, n_dyads=4, outlier_scope="speaker")
+    )
+    _, retained_2x, peak_2x = _traced_process_corpus(
+        *_golden_shaped(tmp_path / "8", 8, n_dyads=8, outlier_scope="speaker")
+    )
     assert retained_2x > 1.8 * retained
     assert (peak_2x - retained_2x) - (peak - retained) < (retained_2x - retained) / 4
 

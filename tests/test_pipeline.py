@@ -3,8 +3,10 @@
 * Each run hashes the bytes its own ingest read; ``corpus_checksum``
   reads only the manifest, never an F0 CSV or alignment again.
 * Metamorphic relations: reordering the manifest's utterances changes no
-  per-speaker value, renaming speakers only permutes the report rows, and
-  swapping each dyad's members only swaps and negates the dyads.csv rows.
+  per-speaker value, renaming speakers only permutes the report rows,
+  swapping each dyad's members only swaps and negates the dyads.csv rows,
+  shifting every time by a constant moves only the word times, and under
+  ``--semitone`` doubling every F0 value leaves the DTW distances.
 * Renditions are processed one at a time, so the first faulty rendition
   in manifest order is the one an error names.
 """
@@ -16,6 +18,7 @@ import re
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from f0entrain import ingest, pipeline, synth
@@ -35,6 +38,16 @@ def corpus(tmp_path_factory):
 
 def _config(manifest, out):
     return pipeline.RunConfig(manifest=str(manifest), out=str(out))
+
+
+def _rewrite_f0(corpus: Path, time=lambda t: t, f0=lambda v: v) -> None:
+    """Apply ``time`` and ``f0`` to every F0 CSV row of ``corpus``, keeping 6 decimals."""
+    for path in (corpus / "f0").glob("*.csv"):
+        header, *rows = path.read_text().splitlines()
+        fields = (row.split(",") for row in rows)
+        # an empty F0 field (unvoiced) stays empty
+        rows = [f"{time(float(t)):.6f}," + (f"{f0(float(v)):.6f}" if v else "") for t, v in fields]
+        path.write_text("\n".join([header, *rows]) + "\n")
 
 
 def _rewritten(corpus: Path, name: str, edit) -> Path:
@@ -164,6 +177,43 @@ def test_swapping_dyad_members_only_swaps_and_negates_inner_dyad(corpus, tmp_pat
     assert run.pop("corpus_checksum") != run_b.pop("corpus_checksum")
     assert run_b == run
     assert after == before  # the other six files, byte for byte
+
+
+@pytest.mark.parametrize("c", [1.0, 0.37])
+def test_time_shift_moves_only_the_word_times(corpus, tmp_path, c):
+    root = shutil.copytree(corpus, tmp_path / "shifted")
+    _rewrite_f0(root, time=lambda t: t + c)
+    for path in (root / "align").glob("*.json"):
+        doc = json.loads(path.read_text())
+        for word in (w for segment in doc["segments"] for w in segment["words"]):
+            word.update((key, round(word[key] + c, 6)) for key in ("start", "end") if key in word)
+        path.write_text(json.dumps(doc))
+    base, shifted = (
+        pipeline.run_stages(_config(manifest, "."), ()).processed
+        for manifest in (corpus / "manifest.json", root / "manifest.json")
+    )
+    assert shifted.dropped_words == base.dropped_words
+    assert shifted.contours.spans == base.contours.spans
+    assert shifted.contours.words == base.contours.words
+    times, features = base.contours.table[:2], base.contours.table[2:]
+    np.testing.assert_allclose(shifted.contours.table[:2], times + c, rtol=0, atol=1e-9)
+    # drop divides by the step inferred from the shifted times: not bit-equal
+    np.testing.assert_allclose(shifted.contours.table[2:], features, rtol=1e-12, atol=0)
+
+
+def test_doubling_f0_keeps_semitone_dtw_distances(corpus, tmp_path):
+    # x2 keeps 6 decimals exact, where x0.5 would need a 7th
+    root = shutil.copytree(corpus, tmp_path / "doubled")
+    _rewrite_f0(root, f0=lambda v: 2 * v)
+    base, doubled = (
+        pipeline.run_stages(
+            pipeline.RunConfig(manifest=str(manifest), out=".", semitone=100.0), {"dtw"}
+        ).measurement.samples
+        for manifest in (corpus / "manifest.json", root / "manifest.json")
+    )
+    events = len(ingest.load_manifest(corpus / "manifest.json").utterances)
+    assert doubled.shape == base.shape == (5, events)
+    np.testing.assert_allclose(doubled, base, rtol=0, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from f0entrain import pitch
 from f0entrain.errors import ComputeError, ParseError, ValidationError
-from f0entrain.pitch import PitchConfig, Wave, estimate_f0, read_wav, write_wav
+from f0entrain.pitch import PitchConfig, Wave, estimate_f0, read_wav
 
+from conftest import write_wav
 from oracles import estimate_f0_by_frames
 
 FS = 16000
@@ -25,7 +26,7 @@ def sine(freq, seconds=1.0, amp=0.4, fs=FS):
 
 def test_read_mono_duration(tmp_path):
     path = tmp_path / "tone.wav"
-    write_wav(sine(200.0), path)
+    write_wav(path, sine(200.0).samples, FS)
     wave = read_wav(path)
     assert wave.sample_rate == FS
     assert wave.samples.size == FS

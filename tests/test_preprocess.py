@@ -63,14 +63,14 @@ def test_two_pass_constant_track_unchanged():
     track = make_track([150.0] * 6)
     result = two_pass_outlier(track)
     assert result.n_replaced == 0
-    assert result.track == track
+    assert result.track is track
 
 
 def test_two_pass_short_track_warns():
     track = make_track([100, 500, 120])
     result = two_pass_outlier(track)
     assert result.warned
-    assert result.track == track
+    assert result.track is track
 
 
 def test_two_pass_requires_voiced():

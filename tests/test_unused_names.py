@@ -11,13 +11,6 @@ import f0entrain
 
 PACKAGE = Path(f0entrain.__file__).parent
 
-# name -> why it stays although no library code refers to it
-KEPT = {
-    "word_features": "the per-word feature API that the acceptance tests call on one word",
-    "write_wav": "writes the WAV fixtures that the pitch tests read back with read_wav",
-}
-
-
 def _definitions(tree: ast.Module):
     """(name, line) of each top-level function and class and of each method."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -47,12 +40,10 @@ def test_every_library_name_is_referenced_in_the_library():
     defined = [
         (module, name, line) for module, tree in trees.items() for name, line in _definitions(tree)
     ]
-    assert set(KEPT) <= {name for _, name, _ in defined}, "an exempt name no longer exists"
     unused = [
         f"{module}:{line} {name}"
         for module, name, line in defined
         if name not in referenced
-        and name not in KEPT
         and not (name.startswith("__") and name.endswith("__"))
     ]
     assert not unused, "referenced by no library code: " + ", ".join(unused)
