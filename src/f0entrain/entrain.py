@@ -125,6 +125,16 @@ def dtw_distance(a: Sequence[float], b: Sequence[float]) -> float:
     1978, full window). Takes lists of plain Python floats: for the short
     contours compared here (roughly 6-13 values), list indexing beats
     per-element numpy access by a wide margin.
+
+    One row list holds the cumulative costs and is updated in place; each
+    cell's diagonal and left neighbours live in local variables. After the
+    first row, one pass over ``b`` advances rows i and i + 1 together, and
+    a row left over at the end gets a single-row pass. Every cell starts
+    from its diagonal, then takes the up and then the left neighbour on a
+    strict ``<``, and adds its local cost, so the floats are those of the
+    plain row-by-row recurrence. The local cost is written as a
+    subtraction, not ``abs()``, which keeps the sign of a zero difference
+    (``-0.0 - 0.0`` is ``-0.0``).
     """
     n = len(a)
     m = len(b)
@@ -133,27 +143,58 @@ def dtw_distance(a: Sequence[float], b: Sequence[float]) -> float:
 
     b0 = b[0]
     a0 = a[0]
-    prev = [0.0] * m
-    prev[0] = a0 - b0 if a0 >= b0 else b0 - a0
+    left = a0 - b0 if a0 >= b0 else b0 - a0
+    row = [left]
     for j in range(1, m):
         bj = b[j]
-        prev[j] = prev[j - 1] + (a0 - bj if a0 >= bj else bj - a0)
-    for i in range(1, n):
+        left = left + (a0 - bj if a0 >= bj else bj - a0)
+        row.append(left)
+    cols = range(1, m)
+    i = 1
+    while i + 1 < n:
         ai = a[i]
-        cur = [0.0] * m
-        cur[0] = prev[0] + (ai - b0 if ai >= b0 else b0 - ai)
-        for j in range(1, m):
-            best = prev[j - 1]
-            pj = prev[j]
-            if pj < best:
-                best = pj
-            cj = cur[j - 1]
-            if cj < best:
-                best = cj
+        ak = a[i + 1]
+        diag = row[0]
+        left = diag + (ai - b0 if ai >= b0 else b0 - ai)
+        left2 = left + (ak - b0 if ak >= b0 else b0 - ak)
+        row[0] = left2
+        for j in cols:
             bj = b[j]
-            cur[j] = best + (ai - bj if ai >= bj else bj - ai)
-        prev = cur
-    return prev[m - 1]
+            up = row[j]
+            best = diag
+            if up < best:
+                best = up
+            if left < best:
+                best = left
+            cur = best + (ai - bj if ai >= bj else bj - ai)
+            # row i + 1: its diagonal is row i's left, its up is row i's cell
+            best = left
+            if cur < best:
+                best = cur
+            if left2 < best:
+                best = left2
+            left2 = best + (ak - bj if ak >= bj else bj - ak)
+            row[j] = left2
+            diag = up
+            left = cur
+        i += 2
+    if i < n:
+        ai = a[i]
+        diag = row[0]
+        left = diag + (ai - b0 if ai >= b0 else b0 - ai)
+        row[0] = left
+        for j in cols:
+            bj = b[j]
+            up = row[j]
+            best = diag
+            if up < best:
+                best = up
+            if left < best:
+                best = left
+            left = best + (ai - bj if ai >= bj else bj - ai)
+            row[j] = left
+            diag = up
+    return row[m - 1]
 
 
 def compute_samples(manifest: CorpusManifest, contours: ContourStore) -> np.ndarray:

@@ -443,8 +443,10 @@ def load_f0_csv(path: str | Path, digests: dict[str, bytes] | None = None) -> F0
 
     Times must be strictly increasing and uniformly spaced within 1e-6 s;
     the step is inferred from the first two rows. An empty or zero f0
-    field marks an unvoiced sample. ``digests``, if given, records the
-    SHA-256 of the file's bytes.
+    field marks an unvoiced sample, and nothing else does: a non-finite
+    time or f0 (``nan``, ``inf``, or a number too large for a float, such
+    as ``1e400``) raises ParseError naming the file and row. ``digests``,
+    if given, records the SHA-256 of the file's bytes.
     """
     path = Path(path)
     raw = _read_hashed(path, digests)
@@ -457,6 +459,10 @@ def load_f0_csv(path: str | Path, digests: dict[str, bytes] | None = None) -> F0
         raise ParseError(f"{path}: no samples")
     if times.size < 2:
         raise ParseError(f"{path}: at least two rows are needed to infer the step")
+    finite = np.isfinite(times) & np.isfinite(values)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ParseError(f"{path}:{row + 2}: non-finite time or F0 ({times[row]}, {values[row]})")
     negative = values < 0
     if negative.any():
         row = int(np.flatnonzero(negative)[0])

@@ -1,20 +1,23 @@
 """Independent reference implementations used to verify the fast paths.
 
 Everything here deliberately avoids the package's own algorithms:
-DTW is checked by exhaustive path enumeration, Savitzky-Golay weights by
-per-impulse polynomial fits, quantiles against numpy's reference
-implementation, the linear fit against the closed-form OLS solution, and
-the ICC decomposition against a direct sums-of-squares calculation with
-scipy distributions. The F0 CSV loader and writer, the per-word features
-and the pitch tracker are checked bit for bit against their plain forms: a
-parser that reads one line at a time, a writer that formats one row at a
-time, features that sort every sample set they take a quantile of, and a
-tracker that analyses one frame at a time. The entrainment measures are
-checked against their per-speaker rescans of every sample and a surrogate
-search over the whole contour store.
+DTW is checked by exhaustive path enumeration and, float for float,
+against the plain recurrence that builds one new list per row,
+Savitzky-Golay weights by per-impulse polynomial fits, quantiles against
+numpy's reference implementation, the linear fit against the closed-form
+OLS solution, and the ICC decomposition against a direct sums-of-squares
+calculation with scipy distributions. The F0 CSV loader and writer, the
+per-word features and the pitch tracker are checked bit for bit against
+their plain forms: a parser that reads one line at a time, a writer that
+formats one row at a time, features that sort every sample set they take
+a quantile of, and a tracker that analyses one frame at a time. The
+entrainment measures are checked against their per-speaker rescans of
+every sample and a surrogate search over the whole contour store.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -67,6 +70,41 @@ def dtw_bruteforce_full(a, b) -> float:
 
     walk(0, 0, 0.0)
     return min(results)
+
+
+def dtw_by_rows(a, b) -> float:
+    """The DTW recurrence one row at a time, each row a new list.
+
+    Same cell arithmetic as ``entrain.dtw_distance``: start from the
+    diagonal, take the up and then the left neighbour on a strict ``<``,
+    add the local cost written as a subtraction. The result must equal the
+    kernel's bit for bit, the sign of a zero included.
+    """
+    n = len(a)
+    m = len(b)
+    b0 = b[0]
+    a0 = a[0]
+    prev = [0.0] * m
+    prev[0] = a0 - b0 if a0 >= b0 else b0 - a0
+    for j in range(1, m):
+        bj = b[j]
+        prev[j] = prev[j - 1] + (a0 - bj if a0 >= bj else bj - a0)
+    for i in range(1, n):
+        ai = a[i]
+        cur = [0.0] * m
+        cur[0] = prev[0] + (ai - b0 if ai >= b0 else b0 - ai)
+        for j in range(1, m):
+            best = prev[j - 1]
+            pj = prev[j]
+            if pj < best:
+                best = pj
+            cj = cur[j - 1]
+            if cj < best:
+                best = cj
+            bj = b[j]
+            cur[j] = best + (ai - bj if ai >= bj else bj - ai)
+        prev = cur
+    return prev[m - 1]
 
 
 def sg_weights_by_polyfit(window: int, order: int) -> np.ndarray:
@@ -153,6 +191,9 @@ def load_f0_csv_by_lines(path):
         raise ParseError(f"{path}: no samples")
     if times.size < 2:
         raise ParseError(f"{path}: at least two rows are needed to infer the step")
+    for row, (t, f0) in enumerate(zip(times.tolist(), values.tolist())):
+        if not (math.isfinite(t) and math.isfinite(f0)):
+            raise ParseError(f"{path}:{row + 2}: non-finite time or F0 ({times[row]}, {values[row]})")
     if np.any(values < 0):
         row = int(np.flatnonzero(values < 0)[0])
         raise ValidationError(f"{path}:{row + 2}: negative F0 ({values[row]})")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,9 +7,14 @@ from hypothesis import given, settings, strategies as st
 from f0entrain.entrain import dtw_distance
 from f0entrain.errors import ComputeError
 
-from oracles import dtw_bruteforce, dtw_bruteforce_full
+from oracles import dtw_bruteforce, dtw_bruteforce_full, dtw_by_rows
 
 seq = st.lists(st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=1, max_size=6)
+
+
+def same_float(x: float, y: float) -> bool:
+    """Equal, and with the same sign: tells -0.0 from 0.0."""
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
 
 
 def test_identity_is_zero():
@@ -74,3 +81,35 @@ def test_accepts_readonly_arrays():
     a = np.array([1.0, 2.0, 5.0])
     a.flags.writeable = False
     assert dtw_distance(a.tolist(), a.tolist()) == 0.0
+
+
+def test_signed_zero_kept():
+    # the local cost -0.0 - 0.0 is -0.0; abs() would give 0.0
+    assert same_float(dtw_distance([-0.0], [0.0]), -0.0)
+    assert same_float(dtw_by_rows([-0.0], [0.0]), -0.0)
+
+
+def test_matches_row_recurrence_on_every_shape():
+    # every (n, m) up to 13 x 13 exercises the two-row pass with and without a
+    # leftover row; the few values make ties and signed zeros common
+    rng = np.random.default_rng(24)
+    values = np.array([0.0, -0.0, 1.0, 2.5])
+    for n in range(1, 14):
+        for m in range(1, 14):
+            for _ in range(12):
+                a = rng.choice(values, size=n).tolist()
+                b = rng.choice(values, size=m).tolist()
+                assert same_float(dtw_distance(a, b), dtw_by_rows(a, b)), (a, b)
+
+
+any_floats = st.lists(
+    st.sampled_from([0.0, -0.0]) | st.floats(allow_nan=False, allow_infinity=False),
+    min_size=1,
+    max_size=14,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_floats, any_floats)
+def test_matches_row_recurrence(a, b):
+    assert same_float(dtw_distance(a, b), dtw_by_rows(a, b))

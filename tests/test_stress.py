@@ -1,0 +1,89 @@
+"""Malformed input, one corrupted file at a time.
+
+Each case corrupts one F0 CSV or alignment of a small synth corpus and runs
+``run`` in a fresh interpreter: the run must exit 1 with one stderr line
+``error: <that file>...``, print no traceback and create no ``--out``
+directory. Well-formed but degenerate input (an all-unvoiced track, an
+untimed alignment) is a different contract and is tested where it is
+handled.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import shutil
+
+import pytest
+
+from f0entrain import synth
+
+from conftest import run_cli
+
+F0 = "f0/S02_001_imit.csv"
+ALIGN = "align/S02_001_imit.json"
+
+
+@pytest.fixture(scope="module")
+def stress_corpus(tmp_path_factory):
+    """Four dyads with two texts each, from F0 CSVs."""
+    root = tmp_path_factory.mktemp("stress")
+    synth.gen_corpus(synth.SynthConfig(n_dyads=4, n_utterances=2, noise_eps=0.5, seed=7), root)
+    return root
+
+
+def f0_row(row: int, edit):
+    """A corruptor that rewrites data row ``row`` (1 = first) of an F0 CSV as edit(time, f0)."""
+
+    def corrupt(raw: bytes) -> bytes:
+        lines = raw.decode().split("\n")
+        time, f0 = lines[row].split(",")
+        lines[row] = edit(time, f0)
+        return "\n".join(lines).encode()
+
+    return corrupt
+
+
+def alignment_word(k: int, key: str, value):
+    """A corruptor that sets ``key`` of word ``k`` of an alignment to value(word)."""
+
+    def corrupt(raw: bytes) -> bytes:
+        doc = json.loads(raw)
+        word = doc["segments"][0]["words"][k]
+        word[key] = value(word)
+        return json.dumps(doc).encode()  # an infinite time is written as Infinity
+
+    return corrupt
+
+
+CASES = {
+    "f0-three-fields": (F0, f0_row(3, lambda t, f: f"{t},{f},1")),
+    "f0-non-numeric": (F0, f0_row(3, lambda t, f: f"{t},abc")),
+    "f0-negative": (F0, f0_row(3, lambda t, f: f"{t},-{f}")),
+    "f0-non-uniform-time": (F0, f0_row(3, lambda t, f: f"{float(t) + 0.004:.6f},{f}")),
+    "f0-inf": (F0, f0_row(3, lambda t, f: f"{t},inf")),
+    "f0-nan-time-row-1": (F0, f0_row(1, lambda t, f: f"nan,{f}")),
+    "f0-nan-time-row-4": (F0, f0_row(4, lambda t, f: f"nan,{f}")),
+    "f0-not-utf8": (F0, lambda raw: raw.replace(b"0.03", b"0.0\xff", 1)),
+    "align-not-json": (ALIGN, lambda raw: raw[: len(raw) // 2]),
+    "align-non-finite-time": (ALIGN, alignment_word(1, "end", lambda w: math.inf)),
+    "align-overlapping-words": (ALIGN, alignment_word(1, "start", lambda w: w["start"] - 0.05)),
+    "align-end-before-start": (ALIGN, alignment_word(2, "end", lambda w: w["start"] - 0.01)),
+    "align-not-utf8": (ALIGN, lambda raw: raw.replace(b'"word": "', b'"word": "\xff', 1)),
+}
+
+
+@pytest.mark.parametrize("name, corrupt", CASES.values(), ids=CASES.keys())
+def test_malformed_file_exits_1_naming_it(stress_corpus, tmp_path, name, corrupt):
+    corpus_dir = shutil.copytree(stress_corpus, tmp_path / "c")
+    path = corpus_dir / name
+    path.write_bytes(corrupt(path.read_bytes()))
+    out = tmp_path / "r"
+
+    res = run_cli("run", "--manifest", corpus_dir / "manifest.json", "--out", out)
+
+    assert res.returncode == 1, res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stderr.startswith(f"error: {path}"), res.stderr
+    assert res.stderr.count("\n") == 1 and res.stderr.endswith("\n"), res.stderr
+    assert not out.exists()
