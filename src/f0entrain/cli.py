@@ -31,14 +31,8 @@ CONFIG_TYPES = {
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-class ConfigOptions(dict):
-    """A config file's options by RunConfig field, and the corpus checksum it records."""
-
-    corpus_checksum: str | None = None  # None unless a run.json records one
-
-
-def load_config_file(path: str | Path) -> ConfigOptions:
-    """Read pipeline options, and a recorded checksum, from flat key=value text or a run.json."""
+def load_config_file(path: str | Path) -> tuple[dict, str | None]:
+    """Options from flat key=value text or a run.json, and the corpus checksum it records."""
     path = Path(path)
     text = ingest.read_utf8(path)
     checksum = None
@@ -59,7 +53,7 @@ def load_config_file(path: str | Path) -> ConfigOptions:
             key, value = line.split("=", 1)
             raw[key.strip()] = value.strip()
 
-    out = ConfigOptions()
+    out = {}
     for key, value in raw.items():
         if key == "quantile_convention":
             continue  # recorded constant, not an option
@@ -71,8 +65,7 @@ def load_config_file(path: str | Path) -> ConfigOptions:
             raise ParseError(f"{path}: bad value for {key!r} ({exc})") from None
     if checksum is not None and not isinstance(checksum, str):
         raise ParseError(f"{path}: corpus_checksum must be a string, got {checksum!r}")
-    out.corpus_checksum = checksum
-    return out
+    return out, checksum
 
 
 def _coerce(kind: type, value):
@@ -117,8 +110,8 @@ def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
 def build_run_config(args: argparse.Namespace) -> tuple[RunConfig, str | None]:
     """The run's options, and the corpus checksum a run.json replayed without
     ``--manifest`` expects (a run on another corpus expects none)."""
-    values = load_config_file(args.config) if args.config else ConfigOptions()
-    expected = values.corpus_checksum if args.manifest is None else None
+    values, recorded = load_config_file(args.config) if args.config else ({}, None)
+    expected = recorded if args.manifest is None else None
     for name in CONFIG_TYPES:
         given = getattr(args, name, None)
         if given is not None:

@@ -17,7 +17,8 @@ File formats:
   ``{"segments": [{"words": [{"word", "start", "end"}...]}...]}``, with
   finite times in seconds.
 * F0 CSV: header ``time_s,f0_hz``; an empty or ``0`` f0 field marks an
-  unvoiced sample.
+  unvoiced sample. CRLF line ends, blank lines, spaces around cells and
+  quoted cells are accepted; a row error names its line.
 * Scores CSV: header ``speaker,rater,pronunciation,intonation,fluency,overall``.
 """
 
@@ -95,7 +96,11 @@ class ScoreRow:
     intonation: float
     fluency: float
     overall: float
-    final: float
+
+    @property
+    def final(self) -> float:
+        """The mean of the four criteria."""
+        return (self.pronunciation + self.intonation + self.fluency + self.overall) / 4
 
 
 @dataclass(frozen=True)
@@ -109,9 +114,8 @@ class ScoreTable:
             acc.setdefault(row.speaker, []).append(row)
         out: dict[str, dict[str, float]] = {}
         for speaker, rows in acc.items():
-            out[speaker] = {
-                c: float(np.mean([getattr(r, c) for r in rows])) for c in ALL_CRITERIA
-            }
+            means = {c: float(np.mean([getattr(r, c) for r in rows])) for c in CRITERIA}
+            out[speaker] = {**means, "final": float(np.mean([r.final for r in rows]))}
         return out
 
 
@@ -150,25 +154,39 @@ def parse_json(text: str, path: str | Path):
         raise ParseError(f"{path}: not valid JSON ({exc})") from None
 
 
-def read_csv_table(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """A CSV file's header and its non-blank rows, each with its line number.
+def parse_csv_table(text: str, path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """A CSV text's header and its other rows, each with its line number.
 
-    Raises ParseError naming the file if it is not UTF-8, not CSV or empty,
-    and naming the line if a row's field count differs from the header's.
+    Lines of nothing but spaces are left out, rows of blank cells such as
+    ``,`` are not. Raises ParseError naming the file if not CSV or empty.
     """
-    reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        table = [(reader.line_num, parts) for parts in reader]
+        table = [(reader.line_num, row) for row in reader if row[1:] or "".join(row).strip()]
     except csv.Error as exc:
         raise ParseError(f"{path}: not CSV ({exc})") from None
     if not table:
         raise ParseError(f"{path}: empty file")
-    header = table[0][1]
-    rows = [(lineno, parts) for lineno, parts in table[1:] if "".join(parts).strip()]
+    return table[0][1], table[1:]
+
+
+def _check_widths(header: list[str], rows: list, path: str | Path) -> list:
+    """``rows``, if each has as many fields as ``header``; else ParseError naming the line."""
     for lineno, parts in rows:
         if len(parts) != len(header):
             raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, got {len(parts)}")
-    return header, rows
+    return rows
+
+
+def read_csv_table(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """A CSV file's header and its rows that hold a non-blank cell, each with its line number.
+
+    Raises ParseError naming the file if it is not UTF-8, not CSV or empty,
+    and naming the line if a row's field count differs from the header's.
+    """
+    header, rows = parse_csv_table(read_utf8(path), path)
+    rows = [(lineno, parts) for lineno, parts in rows if "".join(parts).strip()]
+    return header, _check_widths(header, rows, path)
 
 
 def csv_number(text: str, path: str | Path, lineno: int, column: str) -> float:
@@ -388,8 +406,8 @@ def _split_plain_f0(raw: bytes) -> tuple[np.ndarray, np.ndarray] | None:
 
     Plain means rows of number characters [0-9.eE+-] as ``time,f0``, each
     ending in "\\n": no spaces, blank lines or carriage returns. Splitting
-    such a body on commas and newlines gives exactly the fields that the
-    per-line parser takes, and as ASCII it reads the same as bytes or text.
+    such a body on commas and newlines gives exactly the cells that the
+    CSV table reader takes, and as ASCII it reads the same as bytes or text.
     """
     header = F0_HEADER.encode() + b"\n"
     if not raw.startswith(header):
@@ -406,36 +424,23 @@ def _split_plain_f0(raw: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     try:
         pairs = np.array(fields, dtype=np.float64).reshape(-1, 2)
     except ValueError:
-        return None  # the per-line parser raises the error message
+        return None  # the table reader raises the error message
     return pairs[:, 0], pairs[:, 1]
 
 
-def _split_f0_lines(text: str, path: Path) -> tuple[np.ndarray, np.ndarray]:
-    """Time and f0 columns parsed line by line; raises ParseError naming the file."""
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
-        raise ParseError(f"{path}: empty F0 file")
-    header = lines[0].strip()
-    if header != F0_HEADER:
-        raise ParseError(f"{path}: expected header {F0_HEADER!r}, got {header!r}")
-
-    time_fields: list[str] = []
-    f0_fields: list[str] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line:
-            continue
-        if line.count(",") != 1:
-            raise ParseError(f"{path}:{lineno}: expected two fields")
-        comma = line.index(",")
-        time_fields.append(line[:comma])
-        f0_fields.append(line[comma + 1 :].strip() or "0")
-    try:
-        times = np.asarray(time_fields, dtype=np.float64)
-        values = np.asarray(f0_fields, dtype=np.float64)
-    except ValueError as exc:
-        raise ParseError(f"{path}: non-numeric field ({exc})") from exc
-    return times, values
+def _split_f0_table(text: str, path: Path) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Time and f0 columns, and each row's line number; raises ParseError naming the line."""
+    header, rows = parse_csv_table(text, path)
+    if [cell.strip() for cell in header] != F0_HEADER.split(","):
+        raise ParseError(f"{path}: expected header {F0_HEADER!r}, got {','.join(header)!r}")
+    pairs = []
+    for lineno, (time, f0) in _check_widths(header, rows, path):
+        try:
+            pairs.append((float(time), float(f0.strip() or 0)))  # empty f0 field: unvoiced
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: non-numeric field ({exc})") from None
+    columns = np.array(pairs, dtype=np.float64).reshape(-1, 2)
+    return columns[:, 0], columns[:, 1], [lineno for lineno, _ in rows]
 
 
 def load_f0_csv(path: str | Path, digests: dict[str, bytes] | None = None) -> F0Track:
@@ -445,15 +450,17 @@ def load_f0_csv(path: str | Path, digests: dict[str, bytes] | None = None) -> F0
     the step is inferred from the first two rows. An empty or zero f0
     field marks an unvoiced sample, and nothing else does: a non-finite
     time or f0 (``nan``, ``inf``, or a number too large for a float, such
-    as ``1e400``) raises ParseError naming the file and row. ``digests``,
+    as ``1e400``) raises ParseError naming the file and line. ``digests``,
     if given, records the SHA-256 of the file's bytes.
     """
     path = Path(path)
     raw = _read_hashed(path, digests)
     columns = _split_plain_f0(raw)
     if columns is None:
-        columns = _split_f0_lines(_decode(raw, path), path)
-    times, values = columns
+        times, values, lines = _split_f0_table(_decode(raw, path), path)
+    else:
+        times, values = columns
+        lines = range(2, times.size + 2)  # a plain file's row i is on line i + 2
 
     if times.size == 0:
         raise ParseError(f"{path}: no samples")
@@ -462,21 +469,21 @@ def load_f0_csv(path: str | Path, digests: dict[str, bytes] | None = None) -> F0
     finite = np.isfinite(times) & np.isfinite(values)
     if not finite.all():
         row = int(np.argmin(finite))
-        raise ParseError(f"{path}:{row + 2}: non-finite time or F0 ({times[row]}, {values[row]})")
+        raise ParseError(f"{path}:{lines[row]}: non-finite time or F0 ({times[row]}, {values[row]})")
     negative = values < 0
     if negative.any():
         row = int(np.flatnonzero(negative)[0])
-        raise ValidationError(f"{path}:{row + 2}: negative F0 ({values[row]})")
+        raise ValidationError(f"{path}:{lines[row]}: negative F0 ({values[row]})")
     step = float(times[1] - times[0])
     if step <= 0:
-        raise ValidationError(f"{path}: times must be strictly increasing")
+        raise ValidationError(f"{path}:{lines[1]}: times must be strictly increasing")
     t0 = float(times[0])
     expected = t0 + step * np.arange(times.size)
     off = np.abs(times - expected) > TIME_TOLERANCE_S
     if off.any():
         row = int(np.flatnonzero(off)[0])
         raise ValidationError(
-            f"{path}: non-uniform step at row {row + 2} "
+            f"{path}:{lines[row]}: non-uniform step "
             f"(expected t={expected[row]:.6f}, got {times[row]:.6f})"
         )
     return F0Track(start_time=t0, step=step, values=values, voiced=values > 0.0)
@@ -545,7 +552,7 @@ def load_scores(path: str | Path) -> ScoreTable:
         if key in seen:
             raise ValidationError(f"{path}:{lineno}: duplicate row for ({speaker}, {rater})")
         seen.add(key)
-        rows.append(ScoreRow(speaker, rater, *scores, final=sum(scores) / 4.0))
+        rows.append(ScoreRow(speaker, rater, *scores))
     return ScoreTable(tuple(rows))
 
 

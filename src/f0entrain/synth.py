@@ -224,7 +224,6 @@ def gen_scores(
                     intonation=float(scores[1]),
                     fluency=float(scores[2]),
                     overall=float(scores[3]),
-                    final=float(scores.mean()),
                 )
             )
     return rows

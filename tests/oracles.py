@@ -6,11 +6,11 @@ against the plain recurrence that builds one new list per row,
 Savitzky-Golay weights by per-impulse polynomial fits, quantiles against
 numpy's reference implementation, the linear fit against the closed-form
 OLS solution, and the ICC decomposition against a direct sums-of-squares
-calculation with scipy distributions. The F0 CSV loader and writer, the
-per-word features and the pitch tracker are checked bit for bit against
-their plain forms: a parser that reads one line at a time, a writer that
-formats one row at a time, features that sort every sample set they take
-a quantile of, and a tracker that analyses one frame at a time. The
+calculation with scipy distributions. The F0 CSV writer, the per-word
+features and the pitch tracker are checked bit for bit against their
+plain forms: a writer that formats one row at a time, features that sort
+every sample set they take a quantile of, and a tracker that analyses one
+frame at a time. The
 entrainment measures are checked against their per-speaker rescans of
 every sample and a surrogate search over the whole contour store.
 """
@@ -150,66 +150,8 @@ def anova_two_way(x: np.ndarray) -> dict[str, float]:
 
 
 # ---------------------------------------------------------------------------
-# reference implementations of the fast paths in ingest and features: the
-# straightforward per-line F0 parser and the sort-based per-word features
-
-
-def load_f0_csv_by_lines(path):
-    """F0 CSV loader that parses every line on its own.
-
-    Returns the F0Track or raises the loader's exception with the loader's
-    message.
-    """
-    from pathlib import Path
-
-    from f0entrain.errors import ParseError, ValidationError
-    from f0entrain.types import F0Track
-
-    path = Path(path)
-    lines = path.read_text().splitlines()
-    if not lines or not lines[0].strip():
-        raise ParseError(f"{path}: empty F0 file")
-    header = lines[0].strip()
-    if header != "time_s,f0_hz":
-        raise ParseError(f"{path}: expected header 'time_s,f0_hz', got {header!r}")
-    time_fields, f0_fields = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line:
-            continue
-        if line.count(",") != 1:
-            raise ParseError(f"{path}:{lineno}: expected two fields")
-        comma = line.index(",")
-        time_fields.append(line[:comma])
-        f0_fields.append(line[comma + 1 :].strip() or "0")
-    try:
-        times = np.asarray(time_fields, dtype=np.float64)
-        values = np.asarray(f0_fields, dtype=np.float64)
-    except ValueError as exc:
-        raise ParseError(f"{path}: non-numeric field ({exc})") from exc
-    if times.size == 0:
-        raise ParseError(f"{path}: no samples")
-    if times.size < 2:
-        raise ParseError(f"{path}: at least two rows are needed to infer the step")
-    for row, (t, f0) in enumerate(zip(times.tolist(), values.tolist())):
-        if not (math.isfinite(t) and math.isfinite(f0)):
-            raise ParseError(f"{path}:{row + 2}: non-finite time or F0 ({times[row]}, {values[row]})")
-    if np.any(values < 0):
-        row = int(np.flatnonzero(values < 0)[0])
-        raise ValidationError(f"{path}:{row + 2}: negative F0 ({values[row]})")
-    step = float(times[1] - times[0])
-    if step <= 0:
-        raise ValidationError(f"{path}: times must be strictly increasing")
-    t0 = float(times[0])
-    expected = t0 + step * np.arange(times.size)
-    off = np.abs(times - expected) > 1e-6
-    if off.any():
-        row = int(np.flatnonzero(off)[0])
-        raise ValidationError(
-            f"{path}: non-uniform step at row {row + 2} "
-            f"(expected t={expected[row]:.6f}, got {times[row]:.6f})"
-        )
-    return F0Track(start_time=t0, step=step, values=values, voiced=values > 0.0)
+# reference implementation of the fast path in features: the sort-based
+# per-word features
 
 
 def _type7(values, p):

@@ -216,9 +216,9 @@ def test_config_value_of_wrong_type_rejected(tmp_path, doc, key):
 def test_config_text_values_take_the_field_types(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("window=9\nalpha=0.01\nfrom_wav=yes\nsemitone=none\nnorm=se\n")
-    assert load_config_file(path) == {
-        "window": 9, "alpha": 0.01, "from_wav": True, "semitone": None, "norm": "se",
-    }
+    assert load_config_file(path) == (
+        {"window": 9, "alpha": 0.01, "from_wav": True, "semitone": None, "norm": "se"}, None
+    )
 
 
 def test_run_flags_are_the_run_config_fields():

@@ -10,7 +10,7 @@ from f0entrain.errors import ComputeError, DataError, ParseError, ValidationErro
 from f0entrain.types import WordSpan
 
 from conftest import json_files, make_track, minimal_manifest_doc, write_manifest_doc
-from oracles import load_f0_csv_by_lines, write_f0_csv_by_rows
+from oracles import write_f0_csv_by_rows
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +339,8 @@ BAD_F0 = st.sampled_from(["-3", "abc", "1.2.3", "e5", "--1", "1e", ".", "nan", "
 
 @st.composite
 def f0_csv_texts(draw):
-    """F0 CSV text: half of it plainly formatted, the rest with irregularities mixed in."""
+    """F0 CSV text with LF line ends: half of it plainly formatted, the rest with
+    irregularities mixed in; a few values are malformed and a few times off the step."""
     plain = draw(st.booleans())
     t0 = draw(st.sampled_from([0.0, 0.13, 2.5]))
     step = draw(st.sampled_from([0.01, 0.005]))
@@ -349,14 +350,14 @@ def f0_csv_texts(draw):
         row = "{t},{f}"
         if irregular:
             row = draw(st.sampled_from([" {t},{f}", "{t}, {f} ", "{t},{f},", "{t}", ",{f}", ""]))
-        f0 = draw(BAD_F0 if irregular and draw(st.booleans()) else VALID_F0)
-        rows.append(row.format(t=f"{t0 + i * step:.6f}", f=f0))
-    header, newline, end = "time_s,f0_hz", "\n", "\n"
+        f0 = draw(BAD_F0 if draw(st.integers(0, 7)) == 0 else VALID_F0)
+        off_step = draw(st.integers(0, 11)) == 0
+        rows.append(row.format(t=f"{t0 + (i + off_step / 2) * step:.6f}", f=f0))
+    header, end = "time_s,f0_hz", "\n"
     if not plain:
         header = draw(st.sampled_from([header] * 4 + [" time_s,f0_hz", "time,f0", ""]))
-        newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-        end = draw(st.sampled_from([newline, ""]))
-    return header + newline + newline.join(rows) + end
+        end = draw(st.sampled_from(["\n", ""]))
+    return header + "\n" + "\n".join(rows) + end
 
 
 def _loaded(load, path):
@@ -372,18 +373,61 @@ def _loaded(load, path):
 @given(
     st.one_of(
         f0_csv_texts(),
-        st.text(alphabet="0123456789.,eE+- \n\r\tx", max_size=60).map(
+        st.text(alphabet="0123456789.,eE+- \n\tx", max_size=60).map(
             lambda body: "time_s,f0_hz\n" + body
         ),
-    )
+    ),
+    st.sampled_from(["\r\n", "\r"]),
 )
-def test_f0_loader_matches_line_parser(tmp_path_factory, text):
-    path = tmp_path_factory.mktemp("f0") / "f.csv"
-    path.write_bytes(text.encode())
-    loaded = _loaded(ingest.load_f0_csv, path)
-    assert loaded == _loaded(load_f0_csv_by_lines, path)
-    if isinstance(loaded[0], type):  # an error names the file first
-        assert loaded[1].startswith(str(path)), loaded
+def test_f0_fast_path_matches_table_path(tmp_path_factory, text, newline):
+    """A text and its twin with other line ends load alike.
+
+    A plain text takes the bytes fast path and its twin the CSV table path:
+    both give the same track bytes, or the same error naming the same line.
+    """
+    loaded = []
+    for ending in ("\n", newline):
+        path = tmp_path_factory.mktemp("f0") / "f.csv"
+        path.write_bytes(text.replace("\n", ending).encode())
+        result = _loaded(ingest.load_f0_csv, path)
+        if isinstance(result[0], type):  # an error names the file first
+            assert result[1].startswith(f"{path}:"), result
+            result = result[0], result[1][len(str(path)) :]
+        loaded.append(result)
+    assert loaded[0] == loaded[1]
+
+
+@pytest.mark.parametrize(
+    "body, line, error",
+    [
+        ("\n\n0.00,200\n0.01,-5\n", 5, "negative F0 (-5.0)"),
+        ("0.00,200\n\n \n0.01,inf\n", 5, "non-finite time or F0 (0.01, inf)"),
+        ("0.00,200\n0.01,210\n\n0.025,220\n", 5, "non-uniform step (expected t=0.020000"),
+        ("\n0.01,200\n0.00,210\n", 4, "times must be strictly increasing"),
+        ("0.00,200\n\n0.01,abc\n", 4, "non-numeric field (could not convert string to float: 'abc')"),
+        ("0.00,200\n0.01,210\n,\n", 4, "non-numeric field (could not convert string to float: '')"),
+        ("0.00,200\n\n , \n", 4, "non-numeric field"),
+        ("0.00,200\n\n0.01,210,1\n", 4, "expected 2 fields, got 3"),
+    ],
+    ids=["negative", "non-finite", "off-step", "decreasing", "non-numeric", "comma-row",
+         "spaced-comma-row", "three-fields"],
+)
+def test_f0_csv_row_error_names_its_line(tmp_path, body, line, error):
+    path = tmp_path / "f.csv"
+    path.write_text("time_s,f0_hz\n" + body)
+    with pytest.raises(DataError, match="^" + re.escape(f"{path}:{line}: {error}")):
+        ingest.load_f0_csv(path)
+
+
+def test_f0_csv_crlf_blank_lines_spaces_and_quotes_load_like_the_plain_file(tmp_path):
+    plain = tmp_path / "plain.csv"
+    plain.write_text("time_s,f0_hz\n0.130000,200.5\n0.140000,\n0.150000,1e2\n0.160000,-0\n")
+    irregular = tmp_path / "irregular.csv"
+    irregular.write_bytes(
+        b' time_s ,"f0_hz"\r\n\r\n 0.130000 , 200.5\r\n\t\r\n0.140000, \r\n'
+        b'"0.150000","1e2"\r\n\r\n0.160000 ,-0'
+    )
+    assert _loaded(ingest.load_f0_csv, irregular) == _loaded(ingest.load_f0_csv, plain)
 
 
 @settings(max_examples=200, deadline=None)
