@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from f0entrain.errors import ComputeError
+from f0entrain.errors import ComputeError, prefixed
 from f0entrain.features import FEATURE_NAMES, TABLE_ROWS
 from f0entrain.ingest import CorpusManifest
 from f0entrain.quantiles import iqr_fences
@@ -359,7 +359,9 @@ def measure_corpus(
     imitators = np.array([rec.imitator for rec in manifest.utterances])
     corpus_norms = []
     if with_normalization and norm_scope == "corpus":
-        corpus_norms = [normalize_samples(row) for row in samples]
+        for feature, row in zip(FEATURE_NAMES, samples):
+            with prefixed(f"feature {feature}"):
+                corpus_norms.append(normalize_samples(row))
 
     scores: list[EntrainmentScore] = []
     for speaker in speakers:
@@ -372,7 +374,9 @@ def measure_corpus(
                 # the pool is the speaker's own samples or the whole row;
                 # ``owner`` marks the speaker's samples within the pool
                 if norm_scope == "speaker":
-                    normed, owner = normalize_samples(mine), np.ones(mine.size, dtype=bool)
+                    with prefixed(f"speaker {speaker!r} feature {feature}"):
+                        normed = normalize_samples(mine)
+                    owner = np.ones(mine.size, dtype=bool)
                 else:
                     normed, owner = corpus_norms[f], own
                 n_used = int(np.count_nonzero(normed.kept & owner))

@@ -136,7 +136,7 @@ def read_utf8(path: str | Path) -> str:
     return _decode(Path(path).read_bytes(), path)
 
 
-def _read_hashed(path: Path, digests: dict[str, bytes] | None) -> bytes:
+def read_hashed(path: Path, digests: dict[str, bytes] | None) -> bytes:
     """A file's bytes; their SHA-256 goes into ``digests`` under ``str(path)``, if given."""
     raw = path.read_bytes()
     if digests is not None:
@@ -349,7 +349,7 @@ def load_alignment(
     ``digests``, if given, records the SHA-256 of the file's bytes.
     """
     path = Path(path)
-    doc = parse_json(_decode(_read_hashed(path, digests), path), path)
+    doc = parse_json(_decode(read_hashed(path, digests), path), path)
     if not isinstance(doc, dict) or not isinstance(doc.get("segments"), list):
         raise ParseError(f"{path}: expected an object with a 'segments' list")
 
@@ -454,7 +454,7 @@ def load_f0_csv(path: str | Path, digests: dict[str, bytes] | None = None) -> F0
     if given, records the SHA-256 of the file's bytes.
     """
     path = Path(path)
-    raw = _read_hashed(path, digests)
+    raw = read_hashed(path, digests)
     columns = _split_plain_f0(raw)
     if columns is None:
         times, values, lines = _split_f0_table(_decode(raw, path), path)

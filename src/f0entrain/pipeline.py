@@ -162,16 +162,19 @@ def _f0_source(rendition: Rendition, config: RunConfig) -> Path:
     return path
 
 
-def _cache_f0(rendition: Rendition, config: RunConfig) -> None:
+def _cache_f0(
+    rendition: Rendition, config: RunConfig, digests: dict[str, bytes] | None
+) -> None:
     """Estimate and cache the track of a WAV rendition that has no F0 cache yet.
 
     The track is read back from its cache like any other, so cached and
-    fresh runs agree.
+    fresh runs agree. ``digests``, if given, records the SHA-256 of each
+    WAV read, so the checksum does not read it again.
     """
     wav, cache = Path(rendition.f0_path), _f0_source(rendition, config)
     if cache != wav and not cache.exists():
         pitch = PitchConfig(float(config.pitch_floor), float(config.pitch_ceiling))
-        ingest.write_f0_csv(estimate_f0(read_wav(wav), pitch), cache)
+        ingest.write_f0_csv(estimate_f0(read_wav(wav, digests), pitch), cache)
 
 
 def process_corpus(
@@ -185,14 +188,14 @@ def process_corpus(
     missing F0 cache is written first. ``--outlier-scope speaker`` reads
     each F0 file twice: once for its speaker's bounds, once for the track;
     the first pass drops a speaker's samples at its last rendition.
-    ``digests``, if given, records the SHA-256 of every F0 CSV and alignment
-    read (see ``ingest.load_f0_csv``).
+    ``digests``, if given, records the SHA-256 of every WAV, F0 CSV and
+    alignment read (see ``ingest.read_hashed``).
     """
     renditions = collect_renditions(manifest)
     smoothing = SmoothingConfig(config.window, config.order)
     if config.from_wav:
         for r in renditions:
-            _cache_f0(r, config)
+            _cache_f0(r, config, digests)
 
     bounds: dict[str, tuple[float, float]] = {}
     if config.outlier_scope == "speaker":
@@ -214,8 +217,9 @@ def process_corpus(
         if config.semitone is not None:
             track = to_semitones(track, config.semitone)
         spans, untimed = ingest.load_alignment(r.align_path, digests)
-        utt, dropped = parameterize_utterance(track, spans, r.speaker, r.index)
-        build_contours(utt)  # raises unless every contour is non-empty and finite
+        with prefixed(f"{r.f0_path} with {r.align_path} ({r.role})"):
+            utt, dropped = parameterize_utterance(track, spans, r.speaker, r.index)
+            build_contours(utt)  # raises unless every contour is non-empty and finite
         store.add((r.speaker, r.index, r.role), utt.words, utt.table)
         total_dropped += dropped
         total_untimed += untimed
@@ -357,8 +361,8 @@ def corpus_checksum(
     """SHA-256 over the manifest and all referenced files (content only).
 
     ``digests`` maps a path to the SHA-256 of the bytes ingest read from it;
-    only the files it lacks (the manifest, and WAVs under ``--from-wav``)
-    are read here.
+    only the files it lacks (the manifest, and under ``--from-wav`` each
+    WAV whose F0 cache was already there) are read here.
     """
     digest = hashlib.sha256()
     digest.update(Path(manifest_path).read_bytes())

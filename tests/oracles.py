@@ -264,7 +264,8 @@ def estimate_f0_by_frames(wave, config=None):
     n_frames = int(math.floor((x.size - frame_len) / (TIME_STEP_S * fs))) + 1
     window = np.hanning(frame_len)
 
-    fft_len = 1 << int(math.ceil(math.log2(2 * frame_len)))
+    # long enough that no lag read wraps around: lags 0 .. lag_max + 1 of a frame_len frame
+    fft_len = 1 << int(math.ceil(math.log2(frame_len + lag_max + 2)))
     win_spec = np.fft.rfft(window, fft_len)
     acf_win = np.fft.irfft(win_spec * np.conj(win_spec), fft_len)[: lag_max + 2]
     acf_win = acf_win / acf_win[0]

@@ -632,6 +632,71 @@ def test_all_unvoiced_csv_track_names_its_file(small_corpus, tmp_path, capsys, s
     )
 
 
+def test_empty_utterance_names_its_files_and_role(small_corpus, tmp_path, capsys):
+    corpus_dir = shutil.copytree(small_corpus, tmp_path / "c")
+    f0 = corpus_dir / "f0" / "S02_001_model.csv"
+    align = corpus_dir / "align" / "S02_001_model.json"
+    doc = json.loads(align.read_text())
+    for segment in doc["segments"]:
+        for word in segment["words"]:
+            word["end"] = word["start"] + 0.001  # too short to hold two samples
+    align.write_text(json.dumps(doc))
+    code = main(["run", "--manifest", str(corpus_dir / "manifest.json"),
+                 "--out", str(tmp_path / "r")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {f0} with {align} (model): "
+        "empty utterance: no retained words for speaker 'S02' utterance 1\n"
+    )
+
+
+@pytest.mark.parametrize("scope, prefix", [
+    ("corpus", "feature mean"),
+    ("speaker", "speaker 'S00' feature mean"),
+])
+def test_zero_variance_names_its_feature(tmp_path, capsys, scope, prefix):
+    # perfect imitation: every distance is 0
+    corpus_dir = tmp_path / "c"
+    assert main(["synth", "--dyads", "4", "--utts", "4", "--out", str(corpus_dir)]) == 0
+    capsys.readouterr()
+    code = main(["entrain", "--manifest", str(corpus_dir / "manifest.json"),
+                 "--norm-scope", scope, "--out", str(tmp_path / "e")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {prefix}: zero variance: all retained samples are equal\n"
+    )
+
+
+def test_cold_run_reads_each_wav_once(small_corpus, tmp_path, monkeypatch):
+    corpus_dir = shutil.copytree(small_corpus, tmp_path / "c")
+    for cache in (corpus_dir / "wav").glob("*.f0.csv"):
+        cache.unlink()
+    manifest = corpus_dir / "manifest_wav.json"
+    wavs = sorted((corpus_dir / "wav").glob("*.wav"))
+    real_open = io.open
+    reads = []
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if "r" in mode and not isinstance(file, int):
+            reads.append(Path(file).resolve())
+        return real_open(file, mode, *args, **kwargs)
+
+    # pathlib opens through io.open, the wave module through builtins.open
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr("builtins.open", counting_open)
+    checksums = []
+    for run in ("cold", "warm"):
+        reads.clear()
+        out = tmp_path / run
+        assert main(["run", "--manifest", str(manifest), "--from-wav", "--out", str(out)]) == 0
+        # the cold run reads each WAV for its track and hashes those bytes;
+        # the warm run reads each WAV for the checksum only
+        assert [reads.count(wav.resolve()) for wav in wavs] == [1] * len(wavs), run
+        checksums.append(json.loads((out / "run.json").read_text())["corpus_checksum"])
+    monkeypatch.undo()
+    assert checksums == [pipeline.corpus_checksum(manifest, ingest.load_manifest(manifest))] * 2
+
+
 def test_silent_wav_names_its_file(small_corpus, tmp_path, capsys):
     corpus_dir = shutil.copytree(small_corpus, tmp_path / "c")
     wav = corpus_dir / "wav" / "S05_000_model.wav"

@@ -1,3 +1,4 @@
+import math
 import wave as wave_io
 from unittest import mock
 
@@ -135,6 +136,35 @@ def test_voicing_threshold_gates_noise(rng):
     track = estimate_f0(noise)
     # white noise has weak normalized autocorrelation peaks
     assert track.voiced.mean() < 0.5
+
+
+@pytest.mark.parametrize("fs", [8000.0, 16000.0, 22050.0, 44100.0])
+@pytest.mark.parametrize("floor", [50.0, 75.0, 100.0])
+def test_autocorrelation_has_no_wrap_at_the_lags_read(fs, floor):
+    # rows with a DC offset: a wrapped lag would add a term of the order of lag 0
+    frame_len = int(round(pitch.WINDOW_S * fs))
+    lag_max = min(frame_len - 2, math.floor(fs / floor))
+    n_lags = lag_max + 2
+    rows = np.random.default_rng(int(fs + floor)).uniform(0.0, 1.0, (3, frame_len))
+    got = pitch._autocorrelation(rows, n_lags)
+    assert got.shape == (3, n_lags)
+    for row, acf in zip(rows, got):
+        direct = np.array([np.dot(row[: frame_len - k], row[k:]) for k in range(n_lags)])
+        assert np.max(np.abs(acf - direct)) <= 1e-12 * direct[0]
+
+
+@pytest.mark.parametrize("fs, fft_len", [(8000.0, 512), (16000.0, 1024), (44100.0, 4096)])
+def test_fft_length_covers_only_the_lags_read(fs, fft_len):
+    lengths = []
+    rfft = np.fft.rfft
+
+    def spy(a, n=None, axis=-1):
+        lengths.append(n)
+        return rfft(a, n, axis=axis)
+
+    with mock.patch.object(np.fft, "rfft", spy):
+        estimate_f0(sine(200.0, seconds=0.2, fs=fs))
+    assert set(lengths) == {fft_len}
 
 
 # ---------------------------------------------------------------------------
