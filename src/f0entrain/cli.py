@@ -140,7 +140,7 @@ def cmd_synth(args) -> int:
             seed=args.seed,
         )
         if args.scores_coupling is not None:
-            synth.check_score_options(args.scores_coupling, args.scores_noise)
+            synth.check_score_options(args.scores_coupling, args.scores_noise, 2 * args.dyads)
     if args.scores_coupling is not None and args.eps == 0:
         raise ComputeError(
             "--scores-coupling needs --eps > 0: with --eps 0 every imitation equals "
@@ -166,7 +166,9 @@ def cmd_synth(args) -> int:
 def cmd_preprocess(args) -> int:
     with prefixed("bad option", ValueError, ParseError):
         smoothing = SmoothingConfig(args.window, args.order)
-    cleaned = clean_track(ingest.load_f0_csv(args.input), smoothing)
+    track = ingest.load_f0_csv(args.input)
+    with prefixed(args.input):
+        cleaned = clean_track(track, smoothing)
     ingest.write_f0_csv(cleaned, args.output)
     return 0
 

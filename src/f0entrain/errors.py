@@ -25,9 +25,9 @@ class ComputeError(DataError):
 
 @contextmanager
 def prefixed(prefix: str, caught=ComputeError, raised=ComputeError):
-    """Re-raise a ``caught`` error as ``raised``, its message after ``prefix: ``,
-    which names the input or option at fault."""
+    """Re-raise a ``caught`` error as ``raised`` (None: its own type), its
+    message after ``prefix: ``, which names the input or option at fault."""
     try:
         yield
     except caught as exc:
-        raise raised(f"{prefix}: {exc}") from exc
+        raise (raised or type(exc))(f"{prefix}: {exc}") from exc

@@ -30,7 +30,7 @@ from f0entrain.entrain import (
     ContourStoreBuilder,
     CorpusMeasurement,
 )
-from f0entrain.errors import ValidationError, prefixed
+from f0entrain.errors import DataError, ValidationError, prefixed
 from f0entrain.features import (
     FEATURE_NAMES,
     build_contours,
@@ -168,13 +168,16 @@ def _cache_f0(
     """Estimate and cache the track of a WAV rendition that has no F0 cache yet.
 
     The track is read back from its cache like any other, so cached and
-    fresh runs agree. ``digests``, if given, records the SHA-256 of each
-    WAV read, so the checksum does not read it again.
+    fresh runs agree. A WAV that cannot be read or tracked is named in the
+    error. ``digests``, if given, records the SHA-256 of each WAV read, so
+    the checksum does not read it again.
     """
     wav, cache = Path(rendition.f0_path), _f0_source(rendition, config)
     if cache != wav and not cache.exists():
         pitch = PitchConfig(float(config.pitch_floor), float(config.pitch_ceiling))
-        ingest.write_f0_csv(estimate_f0(read_wav(wav, digests), pitch), cache)
+        with prefixed(rendition.f0_path, DataError, None):
+            track = estimate_f0(read_wav(wav, digests), pitch)
+        ingest.write_f0_csv(track, cache)
 
 
 def process_corpus(

@@ -69,18 +69,13 @@ class PitchConfig:
                 f"need 0 < pitch floor < pitch ceiling, got floor={self.floor}, ceiling={self.ceiling}"
             )
 
-    def validate(self, sample_rate: float) -> None:
-        if not self.ceiling < sample_rate / 2:
-            raise ValidationError(
-                f"need pitch ceiling < sample_rate/2, got ceiling={self.ceiling}, rate={sample_rate}"
-            )
-
 
 def read_wav(path: str | Path, digests: dict[str, bytes] | None = None) -> Wave:
     """Read a 16-bit PCM WAV file; stereo is downmixed by averaging.
 
     The file is read once; ``digests``, if given, records the SHA-256 of
-    its bytes (see ``ingest.read_hashed``).
+    its bytes (see ``ingest.read_hashed``). Errors do not name the file:
+    the caller prefixes them with its path.
     """
     raw = ingest.read_hashed(Path(path), digests)
     try:
@@ -91,10 +86,10 @@ def read_wav(path: str | Path, digests: dict[str, bytes] | None = None) -> Wave:
             comptype = fh.getcomptype()
             frames = fh.readframes(fh.getnframes())
     except (wave_io.Error, EOFError) as exc:
-        raise ParseError(f"{path}: corrupt or unreadable WAV header ({exc})") from exc
+        raise ParseError(f"corrupt or unreadable WAV header ({exc})") from exc
     if comptype != "NONE" or sampwidth != 2:
         raise ParseError(
-            f"{path}: unsupported encoding (need 16-bit PCM, got "
+            f"unsupported encoding (need 16-bit PCM, got "
             f"{8 * sampwidth}-bit, compression {comptype!r})"
         )
     data = np.frombuffer(frames, dtype="<i2").astype(np.float64)
@@ -172,9 +167,12 @@ def estimate_f0(wave: Wave, config: PitchConfig = PitchConfig()) -> F0Track:
     Frames are analysed ``BLOCK_FRAMES`` at a time; the result is the same
     as analysing each frame on its own.
     """
-    config.validate(wave.sample_rate)
     fs = wave.sample_rate
     x = wave.samples
+    if not config.ceiling < fs / 2:
+        raise ValidationError(
+            f"need pitch ceiling < sample_rate/2, got ceiling={config.ceiling}, rate={fs}"
+        )
     frame_len = int(round(WINDOW_S * fs))
     if frame_len < 8 or x.size < frame_len:
         raise ComputeError(
@@ -203,13 +201,12 @@ def estimate_f0(wave: Wave, config: PitchConfig = PitchConfig()) -> F0Track:
 
         # A frame is skipped if its RMS fails the gate or its energy is not
         # positive; NaN fails neither test. A reduction along axis 1 sums
-        # each contiguous row as a 1-D reduction would, but the energy's
-        # np.dot stays per row: a batched product may sum in another order.
+        # each contiguous row as a 1-D reduction would, with no BLAS call.
         frame_ms = np.mean(block * block, axis=1)
         windowed = (block - block.mean(axis=1, keepdims=True)) * window
-        energy = np.array([np.dot(w, w) for w in windowed])
+        energy = np.add.reduce(windowed * windowed, axis=1)
         live = ~(frame_ms < (RMS_GATE**2) * global_ms) & ~(energy <= 0.0)
-        if global_ms <= 0.0 or not live.any():
+        if not live.any():
             continue
         acf = _autocorrelation(windowed[live], lag_max + 2)
         acf_ratio = (acf / energy[live][:, None]) / acf_win

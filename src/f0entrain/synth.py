@@ -166,12 +166,19 @@ def gen_corpus(config: SynthConfig, out_dir: str | Path) -> Path:
     return manifest_path
 
 
-def check_score_options(coupling: float, noise: float) -> None:
-    """Raise ValueError unless ``gen_scores`` accepts this coupling and noise."""
+def check_score_options(coupling: float, noise: float, n_speakers: int) -> None:
+    """Raise ValueError unless ``gen_scores`` accepts this coupling and noise
+    for ``n_speakers`` speakers."""
     if not -1.0 <= coupling <= 1.0:
         raise ValueError(f"coupling must be in [-1, 1], got {coupling}")
     if noise < 0:
         raise ValueError(f"noise must be >= 0, got {noise}")
+    if noise > 0 and abs(coupling) < 1.0 and n_speakers < 3:
+        raise ValueError(
+            f"coupling {coupling} with noise {noise} needs 3 or more speakers, got "
+            f"{n_speakers}: with 2, every mean-zero score component orthogonal to e_raw "
+            "is zero (use 2 or more dyads, noise 0, or coupling -1 or 1)"
+        )
 
 
 def gen_scores(
@@ -190,7 +197,7 @@ def gen_scores(
     deterministic affine function of entrainment (constant when
     ``coupling = 0``), which exercises the degenerate correlation paths.
     """
-    check_score_options(coupling, noise)
+    check_score_options(coupling, noise, len(e_raw_by_speaker))
     speakers = sorted(e_raw_by_speaker)
     x = np.array([e_raw_by_speaker[s] for s in speakers], dtype=np.float64)
     sd = x.std()

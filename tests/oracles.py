@@ -247,9 +247,12 @@ def estimate_f0_by_frames(wave, config=None):
     from f0entrain.types import F0Track
 
     config = PitchConfig() if config is None else config
-    config.validate(wave.sample_rate)
     fs = wave.sample_rate
     x = wave.samples
+    if not config.ceiling < fs / 2:
+        raise ValidationError(
+            f"need pitch ceiling < sample_rate/2, got ceiling={config.ceiling}, rate={fs}"
+        )
     frame_len = int(round(WINDOW_S * fs))
     if frame_len < 8 or x.size < frame_len:
         raise ComputeError(
@@ -281,7 +284,7 @@ def estimate_f0_by_frames(wave, config=None):
         if global_ms <= 0.0 or frame_ms < (RMS_GATE**2) * global_ms:
             continue
         windowed = (frame - frame.mean()) * window
-        energy = float(np.dot(windowed, windowed))
+        energy = float(np.add.reduce(windowed * windowed))
         if energy <= 0.0:
             continue
         spec = np.fft.rfft(windowed, fft_len)

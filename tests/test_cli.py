@@ -336,6 +336,15 @@ def test_preprocess_roundtrip(tmp_path):
     assert len(track) == 60
 
 
+def test_preprocess_names_its_input(tmp_path, capsys):
+    raw = tmp_path / "unvoiced.csv"
+    raw.write_text("time_s,f0_hz\n" + "".join(f"{i * 0.01:.6f},\n" for i in range(20)))
+    out = tmp_path / "clean.csv"
+    assert main(["preprocess", str(raw), str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {raw}: cannot interpolate an all-unvoiced track\n"
+    assert not out.exists()
+
+
 def test_features_standalone(corpus, tmp_path):
     out = tmp_path / "features.csv"
     assert main(["features", "--manifest", str(corpus / "manifest.json"), "--out", str(out)]) == 0
@@ -419,6 +428,8 @@ def test_synth_with_scores_then_grid(tmp_path):
         (["--eps", "0.5", "--scores-coupling", "0.5", "--scores-noise", "-1"],
          "synth: noise must be >= 0"),
         (["--utts", "0"], "synth: n_dyads and n_utterances must be >= 1"),
+        (["--dyads", "1", "--eps", "0.5", "--scores-coupling", "0.5"],
+         "synth: coupling 0.5 with noise 0.15 needs 3 or more speakers, got 2"),
     ],
 )
 def test_synth_refuses_bad_options_before_writing(tmp_path, options, message):

@@ -127,8 +127,10 @@ def test_too_short_rejected():
 def test_config_validation():
     with pytest.raises(ValidationError, match="floor=700, ceiling=600"):
         PitchConfig(floor=700, ceiling=600)
-    with pytest.raises(ValidationError):
-        PitchConfig(floor=75, ceiling=9000).validate(FS)
+    with pytest.raises(
+        ValidationError, match="need pitch ceiling < sample_rate/2, got ceiling=9000, rate=16000"
+    ):
+        estimate_f0(sine(200.0), PitchConfig(floor=75, ceiling=9000))
 
 
 def test_voicing_threshold_gates_noise(rng):

@@ -1,7 +1,7 @@
 """Malformed input, one corrupted file at a time.
 
-Each case corrupts one F0 CSV or alignment of a small synth corpus and runs
-``run`` in a fresh interpreter: the run must exit 1 with one stderr line
+Each case corrupts one F0 CSV, alignment or WAV of a small synth corpus and
+runs ``run`` in a fresh interpreter: the run must exit 1 with one stderr line
 ``error: <that file>...``, print no traceback and create no ``--out``
 directory. Well-formed but degenerate input (an all-unvoiced track, an
 untimed alignment) is a different contract and is tested where it is
@@ -14,11 +14,12 @@ import json
 import math
 import shutil
 
+import numpy as np
 import pytest
 
 from f0entrain import synth
 
-from conftest import run_cli
+from conftest import render_wavs, run_cli, write_wav
 
 F0 = "f0/S02_001_imit.csv"
 ALIGN = "align/S02_001_imit.json"
@@ -73,6 +74,14 @@ CASES = {
 }
 
 
+def assert_exits_1_naming(res, path, out):
+    assert res.returncode == 1, res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stderr.startswith(f"error: {path}"), res.stderr
+    assert res.stderr.count("\n") == 1 and res.stderr.endswith("\n"), res.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name, corrupt", CASES.values(), ids=CASES.keys())
 def test_malformed_file_exits_1_naming_it(stress_corpus, tmp_path, name, corrupt):
     corpus_dir = shutil.copytree(stress_corpus, tmp_path / "c")
@@ -82,8 +91,34 @@ def test_malformed_file_exits_1_naming_it(stress_corpus, tmp_path, name, corrupt
 
     res = run_cli("run", "--manifest", corpus_dir / "manifest.json", "--out", out)
 
-    assert res.returncode == 1, res.stderr
-    assert "Traceback" not in res.stderr
-    assert res.stderr.startswith(f"error: {path}"), res.stderr
-    assert res.stderr.count("\n") == 1 and res.stderr.endswith("\n"), res.stderr
-    assert not out.exists()
+    assert_exits_1_naming(res, path, out)
+
+
+@pytest.fixture(scope="module")
+def stress_wav_corpus(stress_corpus, tmp_path_factory):
+    """The stress corpus as 16 kHz WAVs, with no F0 cache."""
+    root = shutil.copytree(stress_corpus, tmp_path_factory.mktemp("stress_wav") / "c")
+    render_wavs(root)
+    return root
+
+
+# a cold --from-wav run reads and tracks every WAV; these fail one or the other
+WAV_CASES = {
+    "wav-100-samples": (lambda p: write_wav(p, np.full(100, 0.4), 16000), "wave too short"),
+    "wav-1-khz": (lambda p: write_wav(p, np.full(1000, 0.4), 1000), "need pitch ceiling"),
+    "wav-corrupt-header": (lambda p: p.write_bytes(b"RIFFnonsense"), "corrupt"),
+}
+
+
+@pytest.mark.parametrize("write, message", WAV_CASES.values(), ids=WAV_CASES.keys())
+def test_untrackable_wav_exits_1_naming_it(stress_wav_corpus, tmp_path, write, message):
+    corpus_dir = shutil.copytree(stress_wav_corpus, tmp_path / "c")
+    path = corpus_dir / "wav" / "S02_001_imit.wav"
+    write(path)
+    out = tmp_path / "r"
+
+    res = run_cli("run", "--manifest", corpus_dir / "manifest_wav.json", "--from-wav",
+                  "--out", out)
+
+    assert_exits_1_naming(res, path, out)
+    assert res.stderr.startswith(f"error: {path}: {message}"), res.stderr

@@ -134,6 +134,15 @@ def test_scores_degenerate_entrainment_rejected():
         gen_scores({f"S{i}": 3.0 for i in range(8)}, coupling=0.5, noise=0.1, seed=0)
 
 
+def test_scores_of_two_speakers_need_no_complement():
+    # with two speakers, the mean-zero complement orthogonal to e_raw is zero
+    two = {"S00": 10.0, "S01": 20.0}
+    with pytest.raises(ValueError, match="needs 3 or more speakers, got 2"):
+        gen_scores(two, coupling=0.5, noise=0.1, seed=0)
+    assert len(gen_scores(two, coupling=-1.0, noise=0.1, seed=0)) == 2 * 6
+    assert len(gen_scores(two, coupling=0.5, noise=0.0, seed=0)) == 2 * 6
+
+
 def test_scores_determinism():
     a = gen_scores(_e_raw_table(), coupling=0.3, noise=0.1, seed=5)
     b = gen_scores(_e_raw_table(), coupling=0.3, noise=0.1, seed=5)
