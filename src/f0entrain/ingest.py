@@ -25,7 +25,6 @@ File formats:
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import math
@@ -35,6 +34,16 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+
+# CPython's built-in SHA-256, as random.py takes its SHA-512: hashlib loads
+# OpenSSL's libcrypto, about 3.5 MB of a run's peak RSS
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from f0entrain.errors import ComputeError, ParseError, ValidationError
 from f0entrain.types import F0Track, WordSpan
@@ -140,7 +149,7 @@ def read_hashed(path: Path, digests: dict[str, bytes] | None) -> bytes:
     """A file's bytes; their SHA-256 goes into ``digests`` under ``str(path)``, if given."""
     raw = path.read_bytes()
     if digests is not None:
-        digests[str(path)] = hashlib.sha256(raw).digest()
+        digests[str(path)] = sha256(raw).digest()
     return raw
 
 

@@ -11,7 +11,6 @@ corpus and the configuration.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import sys
@@ -191,8 +190,9 @@ def process_corpus(
     missing F0 cache is written first. ``--outlier-scope speaker`` reads
     each F0 file twice: once for its speaker's bounds, once for the track;
     the first pass drops a speaker's samples at its last rendition.
-    ``digests``, if given, records the SHA-256 of every WAV, F0 CSV and
-    alignment read (see ``ingest.read_hashed``).
+    ``digests``, if given, records the SHA-256 of every file the manifest
+    names that the run reads (see ``ingest.read_hashed``), once each: an
+    F0 cache, which the manifest does not name, is not hashed.
     """
     renditions = collect_renditions(manifest)
     smoothing = SmoothingConfig(config.window, config.order)
@@ -205,7 +205,7 @@ def process_corpus(
         last = {r.speaker: i for i, r in enumerate(renditions)}
         pending: dict[str, list[np.ndarray]] = {}
         for i, r in enumerate(renditions):
-            track = ingest.load_f0_csv(_f0_source(r, config), digests)
+            track = ingest.load_f0_csv(_f0_source(r, config))
             with prefixed(r.f0_path):
                 pending.setdefault(r.speaker, []).append(interpolate_unvoiced(track).values)
             if i == last[r.speaker]:
@@ -214,7 +214,8 @@ def process_corpus(
     store = ContourStoreBuilder()
     total_dropped = total_untimed = 0
     for r in renditions:
-        track = ingest.load_f0_csv(_f0_source(r, config), digests)
+        source = _f0_source(r, config)
+        track = ingest.load_f0_csv(source, digests if source == Path(r.f0_path) else None)
         with prefixed(r.f0_path):
             track = clean_track(track, smoothing, bounds.get(r.speaker))
         if config.semitone is not None:
@@ -361,20 +362,21 @@ def partner_other_ttests(
 def corpus_checksum(
     manifest_path: str | Path, manifest: CorpusManifest, digests: Mapping[str, bytes] | None = None
 ) -> str:
-    """SHA-256 over the manifest and all referenced files (content only).
+    """SHA-256 over the manifest's bytes, then the SHA-256 of each file it names, by path.
 
     ``digests`` maps a path to the SHA-256 of the bytes ingest read from it;
     only the files it lacks (the manifest, and under ``--from-wav`` each
     WAV whose F0 cache was already there) are read here.
     """
-    digest = hashlib.sha256()
-    digest.update(Path(manifest_path).read_bytes())
+    digest = ingest.sha256(Path(manifest_path).read_bytes())
     paths = set()
     for rec in manifest.utterances:
         paths.update((rec.imitator_f0, rec.model_f0, rec.imitator_align, rec.model_align))
+    known = dict(digests or {})
     for p in sorted(paths):
-        known = digests.get(p) if digests else None
-        digest.update(known if known is not None else hashlib.sha256(Path(p).read_bytes()).digest())
+        if p not in known:
+            ingest.read_hashed(Path(p), known)
+        digest.update(known[p])
     return digest.hexdigest()
 
 

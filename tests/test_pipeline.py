@@ -1,7 +1,8 @@
 """Properties of a whole pipeline run: what it reads, hashes and reports.
 
-* Each run hashes the bytes its own ingest read; ``corpus_checksum``
-  reads only the manifest, never an F0 CSV or alignment again.
+* Each run hashes the bytes its own ingest read, each file the manifest
+  names once; ``corpus_checksum`` reads only the manifest, never an F0
+  CSV or alignment again.
 * Metamorphic relations: reordering the manifest's utterances changes no
   per-speaker value, renaming speakers only permutes the report rows,
   swapping each dyad's members only swaps and negates the dyads.csv rows,
@@ -24,7 +25,7 @@ import pytest
 from f0entrain import ingest, pipeline, synth
 from f0entrain.errors import ParseError
 
-from conftest import nudge_f0_byte
+from conftest import nudge_f0_byte, render_wavs
 
 ROW_FILES = ("features.csv", "dtw_samples.csv", "entrain.csv", "validate.csv", "dyads.csv")
 
@@ -92,6 +93,36 @@ def test_each_run_checksums_the_bytes_it_read(tmp_path, monkeypatch):
         nudge_f0_byte(Path(manifest.utterances[0].imitator_f0))
     assert checksums[0] != checksums[1]
     assert opened == [str(manifest_path)] * 2
+
+
+@pytest.mark.parametrize("options", [
+    {"outlier_scope": "speaker"},  # reads each F0 file twice
+    {"from_wav": True},            # reads F0 caches the manifest does not name
+], ids=["speaker-scope", "from-wav"])
+def test_each_named_file_is_hashed_once(tmp_path, monkeypatch, options):
+    synth.gen_corpus(synth.SynthConfig(n_dyads=4, n_utterances=2, noise_eps=0.5, seed=5), tmp_path)
+    render_wavs(tmp_path)
+    manifest_path = tmp_path / ("manifest_wav.json" if options.get("from_wav") else "manifest.json")
+    manifest = ingest.load_manifest(manifest_path)
+    named = {p for rec in manifest.utterances
+             for p in (rec.imitator_f0, rec.model_f0, rec.imitator_align, rec.model_align)}
+    # the outer digest hashes the manifest's bytes, then one digest per named file
+    expected = sorted([manifest_path.read_bytes()] + [Path(p).read_bytes() for p in named])
+    checksum = pipeline.corpus_checksum(manifest_path, manifest)
+
+    real_sha256 = ingest.sha256
+    hashed = []
+
+    def counting_sha256(data=b""):
+        hashed.append(bytes(data))
+        return real_sha256(data)
+
+    monkeypatch.setattr(ingest, "sha256", counting_sha256)
+    for run in ("first", "second"):  # from WAVs: cold, then with every F0 cache there
+        hashed.clear()
+        pipeline.run_pipeline(pipeline.RunConfig(str(manifest_path), str(tmp_path / run), **options))
+        assert sorted(hashed) == expected, run
+        assert json.loads((tmp_path / run / "run.json").read_text())["corpus_checksum"] == checksum
 
 
 # ---------------------------------------------------------------------------
