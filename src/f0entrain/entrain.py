@@ -29,11 +29,8 @@ import numpy as np
 
 from f0entrain.errors import ComputeError, prefixed
 from f0entrain.features import FEATURE_NAMES, TABLE_ROWS
-from f0entrain.ingest import CorpusManifest
+from f0entrain.ingest import ROLE_IMITATOR, ROLE_MODEL, CorpusManifest
 from f0entrain.quantiles import iqr_fences
-
-ROLE_IMITATOR = "imitator"
-ROLE_MODEL = "model"
 
 RenditionKey = tuple[str, int, str]  # (speaker, utterance_index, role)
 
@@ -372,16 +369,17 @@ def measure_corpus(
             n_used = mine.size
             if with_normalization:
                 # the pool is the speaker's own samples or the whole row;
-                # ``owner`` marks the speaker's samples within the pool
+                # ``z`` holds the z-scores of the speaker's retained samples
                 if norm_scope == "speaker":
                     with prefixed(f"speaker {speaker!r} feature {feature}"):
                         normed = normalize_samples(mine)
-                    owner = np.ones(mine.size, dtype=bool)
+                    z = normed.z
                 else:
-                    normed, owner = corpus_norms[f], own
-                n_used = int(np.count_nonzero(normed.kept & owner))
+                    normed = corpus_norms[f]
+                    z = normed.z[own[normed.kept]]
+                n_used = z.size
                 if n_used:
-                    e_opt = float(normed.z[owner[normed.kept]].mean())
+                    e_opt = float(z.mean())
                     if norm == "se":
                         # the SE-of-mean divisor rescales every z-score by sqrt(n) of the pool
                         e_opt_alt = e_opt * float(np.sqrt(np.count_nonzero(normed.kept)))

@@ -103,7 +103,7 @@ def to_semitones(track: F0Track, reference_hz: float) -> F0Track:
     if not track.fully_voiced:
         raise ComputeError("semitone conversion expects a fully voiced track")
     values = SEMITONES_PER_OCTAVE * np.log2(track.values / reference_hz)
-    return F0Track(track.start_time, track.step, values, np.ones(len(track), dtype=bool))
+    return track.replace_values(values)
 
 
 def parameterize_utterance(

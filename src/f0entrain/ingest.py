@@ -17,8 +17,9 @@ File formats:
   ``{"segments": [{"words": [{"word", "start", "end"}...]}...]}``, with
   finite times in seconds.
 * F0 CSV: header ``time_s,f0_hz``; an empty or ``0`` f0 field marks an
-  unvoiced sample. CRLF line ends, blank lines, spaces around cells and
-  quoted cells are accepted; a row error names its line.
+  unvoiced sample, which the loaded track holds as NaN. CRLF line ends,
+  blank lines, spaces around cells and quoted cells are accepted; a row
+  error names its line.
 * Scores CSV: header ``speaker,rater,pronunciation,intonation,fluency,overall``.
 """
 
@@ -28,6 +29,7 @@ import csv
 import io
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -54,6 +56,10 @@ CRITERIA = ("pronunciation", "intonation", "fluency", "overall")
 ALL_CRITERIA = CRITERIA + ("final",)
 
 SCORE_MIN, SCORE_MAX = 1.0, 5.0
+
+# The two roles of an utterance record, and of the renditions it lists.
+ROLE_IMITATOR = "imitator"
+ROLE_MODEL = "model"
 
 
 @dataclass(frozen=True)
@@ -153,14 +159,29 @@ def read_hashed(path: Path, digests: dict[str, bytes] | None) -> bytes:
     return raw
 
 
+# In valid JSON text, a backslash starts an escape. Scanned from the left, a
+# match is an escaped backslash, a \u escape of a surrogate pair, or, in
+# group 1, one of a lone half of a pair, which json.loads lets through.
+_SURROGATE_ESCAPE = re.compile(r"\\\\|\\u[dD][89abAB]..\\u[dD][c-fC-F]..|(\\u[dD][89a-fA-F]..)")
+
+
 def parse_json(text: str, path: str | Path):
-    """The JSON document in a file's text; raises ParseError naming the file."""
+    """The JSON document in a file's text; raises ParseError naming the file.
+
+    Its strings must be valid Unicode: a ``\\u`` escape of one half of a
+    surrogate pair without the other half is an error.
+    """
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     # ValueError: not JSON, or an integer of more than 4300 digits;
     # RecursionError: arrays or objects nested too deep
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: not valid JSON ({exc})") from None
+    if "\\u" in text:
+        for match in _SURROGATE_ESCAPE.finditer(text):
+            if match[1]:
+                raise ParseError(f"{path}: not valid JSON (lone surrogate {match[1]})")
+    return doc
 
 
 def parse_csv_table(text: str, path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
@@ -330,8 +351,8 @@ def load_manifest(path: str | Path) -> CorpusManifest:
         )
         # each F0 file is one rendition: one (speaker, index, role) key
         for f0, rendition in (
-            (record.imitator_f0, (imitator, index, "imitator")),
-            (record.model_f0, (model, index, "model")),
+            (record.imitator_f0, (imitator, index, ROLE_IMITATOR)),
+            (record.model_f0, (model, index, ROLE_MODEL)),
         ):
             first = rendition_of.setdefault(f0, rendition)
             if first != rendition:
@@ -457,10 +478,11 @@ def load_f0_csv(path: str | Path, digests: dict[str, bytes] | None = None) -> F0
 
     Times must be strictly increasing and uniformly spaced within 1e-6 s;
     the step is inferred from the first two rows. An empty or zero f0
-    field marks an unvoiced sample, and nothing else does: a non-finite
-    time or f0 (``nan``, ``inf``, or a number too large for a float, such
-    as ``1e400``) raises ParseError naming the file and line. ``digests``,
-    if given, records the SHA-256 of the file's bytes.
+    field marks an unvoiced sample, which the track holds as NaN, and
+    nothing else does: a non-finite time or f0 (``nan``, ``inf``, or a
+    number too large for a float, such as ``1e400``) raises ParseError
+    naming the file and line. ``digests``, if given, records the SHA-256
+    of the file's bytes.
     """
     path = Path(path)
     raw = read_hashed(path, digests)
@@ -495,7 +517,8 @@ def load_f0_csv(path: str | Path, digests: dict[str, bytes] | None = None) -> F0
             f"{path}:{lines[row]}: non-uniform step "
             f"(expected t={expected[row]:.6f}, got {times[row]:.6f})"
         )
-    return F0Track(start_time=t0, step=step, values=values, voiced=values > 0.0)
+    values[values == 0.0] = np.nan  # unvoiced
+    return F0Track(start_time=t0, step=step, values=values)
 
 
 @lru_cache(maxsize=8)
@@ -508,10 +531,9 @@ def write_f0_csv(track: F0Track, path: str | Path) -> None:
     """Write a track in the F0 CSV format with six decimal digits."""
     # a power-of-two row count keeps the cache to a few entries per time grid
     times = _time_fields(track.start_time, track.step, 1 << len(track).bit_length())
-    rows = map("%s%.6f".__mod__, zip(times, track.values.tolist()))
-    if not track.fully_voiced:  # an unvoiced row keeps an empty f0 field
-        rows = [row if voiced else t for row, t, voiced in zip(rows, times, track.voiced.tolist())]
-    Path(path).write_text(F0_HEADER + "\n" + "\n".join(rows) + "\n")
+    text = "\n".join(map("%s%.6f".__mod__, zip(times, track.values.tolist())))
+    # "%.6f" writes NaN as "nan": an unvoiced row keeps an empty f0 field
+    Path(path).write_text(F0_HEADER + "\n" + text.replace(",nan", ",") + "\n", encoding="utf-8")
 
 
 def sample_windows(track: F0Track, spans: Sequence[WordSpan]) -> list[tuple[int, int]]:
@@ -566,7 +588,7 @@ def load_scores(path: str | Path) -> ScoreTable:
 
 
 def write_scores_csv(rows: Iterable[ScoreRow], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["speaker", "rater", *CRITERIA])
         for r in rows:

@@ -22,13 +22,7 @@ from typing import Collection, Iterable, Mapping, Sequence
 import numpy as np
 
 from f0entrain import __version__, entrain, ingest, stats
-from f0entrain.entrain import (
-    ROLE_IMITATOR,
-    ROLE_MODEL,
-    ContourStore,
-    ContourStoreBuilder,
-    CorpusMeasurement,
-)
+from f0entrain.entrain import ContourStore, ContourStoreBuilder, CorpusMeasurement
 from f0entrain.errors import DataError, ValidationError, prefixed
 from f0entrain.features import (
     FEATURE_NAMES,
@@ -36,7 +30,7 @@ from f0entrain.features import (
     parameterize_utterance,
     to_semitones,
 )
-from f0entrain.ingest import CorpusManifest, ScoreTable
+from f0entrain.ingest import ROLE_IMITATOR, ROLE_MODEL, CorpusManifest, ScoreTable
 from f0entrain.pitch import PitchConfig, estimate_f0, read_wav
 from f0entrain.preprocess import (
     SmoothingConfig,
@@ -236,7 +230,7 @@ def process_corpus(
 
 def write_table(path: str | Path | None, header: str, rows: Iterable[str]) -> None:
     """Write ``header`` and then each row, one line at a time; a path of None is stdout."""
-    with open(path, "w") if path is not None else nullcontext(sys.stdout) as fh:
+    with open(path, "w", encoding="utf-8") if path is not None else nullcontext(sys.stdout) as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(row + "\n")
@@ -449,7 +443,7 @@ def _write_run_json(stages: Stages, path: Path) -> None:
         "corpus_checksum": stages.checksum,
         "version": __version__,
     }
-    path.write_text(json.dumps(run_doc, indent=1, sort_keys=True) + "\n")
+    path.write_text(json.dumps(run_doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
 # Bundle file -> (stages it needs beyond features, writer), in writing order.

@@ -191,8 +191,7 @@ def estimate_f0(wave: Wave, config: PitchConfig = PitchConfig()) -> F0Track:
     acf_win = acf_win / acf_win[0]
 
     global_ms = float(np.mean(x * x))
-    values = np.zeros(n_frames)
-    voiced = np.zeros(n_frames, dtype=bool)
+    values = np.full(n_frames, np.nan)  # NaN: unvoiced
 
     frames = np.lib.stride_tricks.sliding_window_view(x, frame_len)
     for b0 in range(0, n_frames, BLOCK_FRAMES):
@@ -213,11 +212,5 @@ def estimate_f0(wave: Wave, config: PitchConfig = PitchConfig()) -> F0Track:
         row, f0 = _best_peaks(acf_ratio, lag_min, lag_max, fs, config)
         rows = np.flatnonzero(live)[row] + b0
         values[rows] = f0
-        voiced[rows] = True
 
-    return F0Track(
-        start_time=frame_len / (2.0 * fs),
-        step=TIME_STEP_S,
-        values=values,
-        voiced=voiced,
-    )
+    return F0Track(start_time=frame_len / (2.0 * fs), step=TIME_STEP_S, values=values)

@@ -44,13 +44,13 @@ def interpolate_unvoiced(track: F0Track) -> F0Track:
     values; leading/trailing runs hold the nearest voiced value."""
     if track.fully_voiced:
         return track
-    voiced_idx = np.flatnonzero(track.voiced)
+    voiced_idx = np.flatnonzero(~np.isnan(track.values))
     if voiced_idx.size == 0:
         raise ComputeError("cannot interpolate an all-unvoiced track")
     filled = np.interp(
         np.arange(len(track)), voiced_idx, track.values[voiced_idx]
     )
-    return track.replace_values(filled, np.ones(len(track), dtype=bool))
+    return track.replace_values(filled)
 
 
 class OutlierResult(NamedTuple):
@@ -70,7 +70,7 @@ def two_pass_outlier(track: F0Track, bounds: tuple[float, float] | None = None) 
 
     Pass 1 computes plausibility bounds from the track's own quartiles
     (or uses precomputed ``bounds``, e.g. pooled per speaker); samples
-    outside the bounds are marked unvoiced. Pass 2 fills them by linear
+    outside the bounds are marked unvoiced (NaN). Pass 2 fills them by linear
     interpolation. Tracks with fewer than 4 samples are returned unchanged
     with ``warned`` set.
     """
@@ -89,7 +89,7 @@ def two_pass_outlier(track: F0Track, bounds: tuple[float, float] | None = None) 
         # cannot happen with self-derived bounds on positive data, but
         # pooled bounds may reject a whole short track
         return OutlierResult(track, 0, True)
-    marked = track.replace_values(track.values, keep)
+    marked = track.replace_values(np.where(keep, track.values, np.nan))
     return OutlierResult(interpolate_unvoiced(marked), n_out, False)
 
 

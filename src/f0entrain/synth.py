@@ -135,7 +135,6 @@ def gen_corpus(config: SynthConfig, out_dir: str | Path) -> Path:
                 noise_rise = rng.uniform(-NOISE_RISE_HZ, NOISE_RISE_HZ, size=w)
 
                 model_values, boundaries = _synthesize(durations, mids, rises)
-                voiced = np.ones(len(model_values), dtype=bool)
                 imit_values, _ = _synthesize(
                     durations,
                     mids + config.noise_eps * noise_mid,
@@ -148,11 +147,11 @@ def gen_corpus(config: SynthConfig, out_dir: str | Path) -> Path:
                     "model_align": f"align/{model_id}_{k:03d}_model.json",
                     "imitator_align": f"align/{imit_id}_{k:03d}_imit.json",
                 }
-                write_f0_csv(F0Track(0.0, STEP_S, model_values, voiced), out / names["model_f0"])
-                write_f0_csv(F0Track(0.0, STEP_S, imit_values, voiced), out / names["imitator_f0"])
+                write_f0_csv(F0Track(0.0, STEP_S, model_values), out / names["model_f0"])
+                write_f0_csv(F0Track(0.0, STEP_S, imit_values), out / names["imitator_f0"])
                 align = _align_text(k, boundaries)  # both renditions share the words
-                (out / names["model_align"]).write_text(align)
-                (out / names["imitator_align"]).write_text(align)
+                (out / names["model_align"]).write_text(align, encoding="utf-8")
+                (out / names["imitator_align"]).write_text(align, encoding="utf-8")
                 utterances.append({"index": k, "imitator": imit_id, "model": model_id, **names})
 
     manifest_path = out / "manifest.json"
@@ -161,7 +160,8 @@ def gen_corpus(config: SynthConfig, out_dir: str | Path) -> Path:
             {"speakers": speakers, "dyads": dyads, "utterances": utterances},
             indent=1,
             sort_keys=True,
-        )
+        ),
+        encoding="utf-8",
     )
     return manifest_path
 

@@ -9,40 +9,30 @@ import numpy as np
 from f0entrain.errors import ValidationError
 
 
-def _readonly(arr: np.ndarray, dtype) -> np.ndarray:
-    out = np.asarray(arr, dtype=dtype)
-    if out.ndim != 1:
-        raise ValidationError("track arrays must be one-dimensional")
-    out = out.copy()
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class F0Track:
-    """A uniformly sampled F0 contour with per-sample voicing state.
+    """A uniformly sampled F0 contour.
 
-    ``values[i]`` is the pitch in Hz at time ``start_time + i * step``;
-    it is only meaningful where ``voiced[i]`` is True.
+    ``values[i]`` is the pitch in Hz at time ``start_time + i * step``,
+    or NaN where the sample is unvoiced.
     """
 
     start_time: float
     step: float
     values: np.ndarray = field(repr=False)
-    voiced: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _readonly(self.values, np.float64))
-        object.__setattr__(self, "voiced", _readonly(self.voiced, np.bool_))
+        values = np.array(self.values, dtype=np.float64)  # a copy, made read-only
+        if values.ndim != 1:
+            raise ValidationError("track values must be one-dimensional")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
         if self.step <= 0:
             raise ValidationError(f"step must be positive, got {self.step}")
-        if self.values.shape != self.voiced.shape:
-            raise ValidationError("values and voiced must have equal length")
         # Positivity of voiced Hz values is enforced where tracks enter the
         # system (loaders, pitch tracker, generator); the type itself also
         # carries semitone-domain contours, which may be negative.
-        v = self.values[self.voiced]
-        if v.size and not np.all(np.isfinite(v)):
+        if np.isinf(self.values).any():
             raise ValidationError("voiced F0 values must be finite")
 
     def __len__(self) -> int:
@@ -50,13 +40,11 @@ class F0Track:
 
     @property
     def fully_voiced(self) -> bool:
-        return bool(np.all(self.voiced))
+        return not np.isnan(self.values).any()
 
-    def replace_values(self, values: np.ndarray, voiced: np.ndarray | None = None) -> "F0Track":
+    def replace_values(self, values: np.ndarray) -> "F0Track":
         """New track on the same time grid with different sample values."""
-        if voiced is None:
-            voiced = self.voiced
-        return F0Track(self.start_time, self.step, values, voiced)
+        return F0Track(self.start_time, self.step, values)
 
 
 @dataclass(frozen=True)

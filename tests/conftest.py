@@ -82,10 +82,11 @@ def nudge_f0_byte(path: Path) -> None:
 
 
 def make_track(values, voiced=None, start=0.0, step=0.01) -> F0Track:
+    """A track of ``values``; where ``voiced`` is given and False, the sample is NaN (unvoiced)."""
     values = np.asarray(values, dtype=float)
-    if voiced is None:
-        voiced = np.ones(values.size, dtype=bool)
-    return F0Track(start_time=start, step=step, values=values, voiced=np.asarray(voiced, bool))
+    if voiced is not None:
+        values = np.where(voiced, values, np.nan)
+    return F0Track(start_time=start, step=step, values=values)
 
 
 def one_word_features(segment: F0Track) -> dict[str, float] | None:

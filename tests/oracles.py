@@ -274,8 +274,7 @@ def estimate_f0_by_frames(wave, config=None):
     acf_win = acf_win / acf_win[0]
 
     global_ms = float(np.mean(x * x))
-    values = np.zeros(n_frames)
-    voiced = np.zeros(n_frames, dtype=bool)
+    values = np.full(n_frames, np.nan)  # NaN: unvoiced
 
     for i in range(n_frames):
         start = int(round(i * TIME_STEP_S * fs))
@@ -302,13 +301,11 @@ def estimate_f0_by_frames(wave, config=None):
                 best_f0 = fs / lag
         if best_value >= VOICING_THRESHOLD:
             values[i] = best_f0
-            voiced[i] = True
 
     return F0Track(
         start_time=frame_len / (2.0 * fs),
         step=TIME_STEP_S,
         values=values,
-        voiced=voiced,
     )
 
 
@@ -318,8 +315,8 @@ def write_f0_csv_by_rows(track, path):
 
     t0, step = track.start_time, track.step
     rows = [
-        f"{t0 + i * step:.6f},{track.values[i]:.6f}" if track.voiced[i] else f"{t0 + i * step:.6f},"
-        for i in range(len(track))
+        f"{t0 + i * step:.6f}," + ("" if np.isnan(f0) else f"{f0:.6f}")
+        for i, f0 in enumerate(track.values)
     ]
     Path(path).write_text("time_s,f0_hz\n" + "\n".join(rows) + "\n")
 
@@ -340,7 +337,8 @@ def _e_raw_by_rescan(imitator, feature, samples) -> float:
 
 
 def _other_distance_by_scan(target, feature, manifest, contours, pool):
-    from f0entrain.entrain import ROLE_IMITATOR, ROLE_MODEL, dtw_distance
+    from f0entrain.entrain import dtw_distance
+    from f0entrain.ingest import ROLE_IMITATOR, ROLE_MODEL
     from f0entrain.errors import ComputeError
     from f0entrain.features import FEATURE_NAMES
 

@@ -454,6 +454,24 @@ def test_untimed_words_reported_as_warning(tmp_path):
     assert res.stderr == "warning: 1 word(s) without timestamps skipped\n"
 
 
+def test_bundle_bytes_do_not_depend_on_the_locale(tmp_path):
+    manifest = synth.gen_corpus(synth.SynthConfig(n_dyads=4, n_utterances=2, noise_eps=0.5), tmp_path)
+    align = tmp_path / json.loads(manifest.read_text())["utterances"][0]["imitator_align"]
+    doc = json.loads(align.read_text())
+    doc["segments"][0]["words"][0]["word"] = "élève"
+    align.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    out = tmp_path / "bundle"
+    bundles = []
+    # the C locale with neither locale coercion nor UTF-8 mode: the locale's encoding is ASCII
+    for env in ({}, {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}):
+        shutil.rmtree(out, ignore_errors=True)
+        res = run_cli("run", "--manifest", manifest, "--out", out, env_extra=env)
+        assert res.returncode == 0, res.stderr
+        bundles.append(_bundle_bytes(out))
+    assert "élève".encode() in bundles[0]["features.csv"]
+    assert bundles[1] == bundles[0]
+
+
 def test_stats_subcommands(corpus, tmp_path):
     assert main(["validate", "--manifest", str(corpus / "manifest.json"),
                  "--out", str(tmp_path)]) == 0

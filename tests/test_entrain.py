@@ -5,8 +5,6 @@ import pytest
 
 from f0entrain import pipeline, synth
 from f0entrain.entrain import (
-    ROLE_IMITATOR,
-    ROLE_MODEL,
     ContourStoreBuilder,
     inner_dyad_distance,
     measure_corpus,
@@ -15,7 +13,7 @@ from f0entrain.entrain import (
 )
 from f0entrain.errors import ComputeError
 from f0entrain.features import FEATURE_NAMES
-from f0entrain.ingest import load_manifest
+from f0entrain.ingest import ROLE_IMITATOR, ROLE_MODEL, load_manifest
 from f0entrain.quantiles import iqr_fences
 
 from conftest import write_manifest_doc

@@ -250,7 +250,7 @@ def test_f0_csv_basic(tmp_path):
     track = ingest.load_f0_csv(path)
     assert len(track) == 3
     assert track.step == pytest.approx(0.01)
-    assert list(track.voiced) == [True, True, False]
+    assert list(~np.isnan(track.values)) == [True, True, False]
     assert track.values[1] == 210.0
 
 
@@ -258,7 +258,7 @@ def test_f0_csv_empty_field_is_unvoiced(tmp_path):
     path = tmp_path / "f.csv"
     path.write_text("time_s,f0_hz\n0.00,200\n0.01,\n0.02,220\n")
     track = ingest.load_f0_csv(path)
-    assert list(track.voiced) == [True, False, True]
+    assert list(~np.isnan(track.values)) == [True, False, True]
 
 
 def test_f0_csv_non_uniform_step(tmp_path):
@@ -321,8 +321,8 @@ def test_f0_csv_round_trip(tmp_path, rng):
     path = tmp_path / "rt.csv"
     ingest.write_f0_csv(track, path)
     reloaded = ingest.load_f0_csv(path)
-    assert np.array_equal(reloaded.voiced, track.voiced)
-    assert np.array_equal(reloaded.values[reloaded.voiced], track.values[track.voiced])
+    assert np.array_equal(np.isnan(reloaded.values), np.isnan(track.values))
+    assert np.array_equal(reloaded.values, track.values, equal_nan=True)
     assert reloaded.start_time == pytest.approx(track.start_time, abs=1e-6)
     # fixpoint: write(load(write(t))) is byte-stable
     path2 = tmp_path / "rt2.csv"
@@ -361,12 +361,12 @@ def f0_csv_texts(draw):
 
 
 def _loaded(load, path):
-    """(start_time, step, value and voicing bytes), or the exception's class and message."""
+    """(start_time, step, value bytes, NaN where unvoiced), or the exception's class and message."""
     try:
         track = load(path)
     except Exception as exc:
         return type(exc), str(exc)
-    return track.start_time, track.step, track.values.tobytes(), track.voiced.tobytes()
+    return track.start_time, track.step, track.values.tobytes()
 
 
 @settings(max_examples=400, deadline=None)
@@ -591,6 +591,31 @@ def test_deeply_nested_json_names_file(tmp_path, load):
     path.write_text("[" * 100_000 + "]" * 100_000)
     with pytest.raises(ParseError, match=re.escape(f"{path}: not valid JSON")):
         load(path)
+
+
+def test_json_surrogate_pairs_load_and_lone_halves_name_the_file():
+    # an escaped pair is one character; an escaped backslash starts no escape
+    text = '["\\ud83d\\ude00", {"\\u00e9": "\\\\ud800"}]'
+    assert ingest.parse_json(text, "p.json") == ["\U0001f600", {"é": "\\ud800"}]
+    for text in ('["\\ud800x"]', '{"a": ["\\udc00"]}', '{"\\ud83d": 1}', '["\\ude00\\ud83d"]'):
+        with pytest.raises(ParseError, match=re.escape("p.json: not valid JSON (lone surrogate \\u")):
+            ingest.parse_json(text, "p.json")
+
+
+# "ud83d" after a backslash reads as an escape unless the backslash is seen to be escaped
+STRING_PARTS = ["é", "ud83d", "\\", "\ud83d", "\ude00", "\udbff", "\U0001f600"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(STRING_PARTS)).map("".join)))
+def test_json_is_rejected_iff_a_loaded_string_is_not_unicode(strings):
+    text = json.dumps(strings)  # ASCII: every surrogate is written as a \u escape
+    loaded = json.loads(text)  # the escapes of a high half then a low half load as one character
+    if any("\ud800" <= c <= "\udfff" for s in loaded for c in s):
+        with pytest.raises(ParseError, match=re.escape("p.json: not valid JSON (lone surrogate")):
+            ingest.parse_json(text, "p.json")
+    else:
+        assert ingest.parse_json(text, "p.json") == loaded
 
 
 @pytest.mark.parametrize("end", ["Infinity", "1e400", "NaN", "-Infinity"])

@@ -1,9 +1,9 @@
-"""The pitch tracker's floats do not depend on the CPU.
+"""Floats that do not depend on the CPU: no BLAS call outside ``USES_BLAS``.
 
 OpenBLAS picks a kernel per CPU, and its dot products round differently
-from one kernel to another; numpy's own reductions do not. So the tracker
-makes no BLAS or LAPACK call: an AST guard finds none in ``pitch.py``, and
-F0 tracks computed under the default kernel and under
+from one kernel to another; numpy's own reductions do not. An AST guard
+finds no BLAS or LAPACK call in any module of the package but those in
+``USES_BLAS``, and F0 tracks computed under the default kernel and under
 ``OPENBLAS_CORETYPE=Prescott``, which runs on any x86-64, are equal to the
 last bit.
 """
@@ -22,7 +22,9 @@ from f0entrain import synth
 
 from conftest import PACKAGE_ROOT, render_wavs
 
-BLAS_FREE = [Path(f0entrain.__file__).parent / "pitch.py"]
+# The modules that still make BLAS calls; a module not listed here must make none.
+USES_BLAS = {"features.py", "preprocess.py", "stats.py", "synth.py"}
+MODULES = sorted(Path(f0entrain.__file__).parent.glob("*.py"))
 NUMPY_BLAS = {"dot", "matmul", "einsum", "inner", "linalg"}
 
 
@@ -47,11 +49,19 @@ def test_blas_calls_are_found():
     ]
 
 
-@pytest.mark.parametrize("path", BLAS_FREE, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name not in USES_BLAS], ids=lambda p: p.name
+)
 def test_no_blas_call(path):
     calls = _blas_calls(ast.parse(path.read_text()))
     found = [f"{path.name}:{line} {what}" for line, what in calls]
     assert not found, "BLAS calls: " + ", ".join(found)
+
+
+def test_uses_blas_lists_only_modules_with_blas_calls():
+    calls = {p.name: list(_blas_calls(ast.parse(p.read_text()))) for p in MODULES}
+    stale = sorted(name for name in USES_BLAS if not calls.get(name))
+    assert not stale, f"no BLAS call left in {stale}: remove them from USES_BLAS"
 
 
 def _uses_openblas() -> bool:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from f0entrain.errors import ComputeError
+from f0entrain.errors import ComputeError, ValidationError
 from f0entrain.preprocess import (
     SmoothingConfig,
     clean_track,
@@ -12,6 +12,7 @@ from f0entrain.preprocess import (
     sg_smooth,
     two_pass_outlier,
 )
+from f0entrain.types import F0Track
 
 from conftest import make_track
 from oracles import sg_weights_by_polyfit
@@ -19,6 +20,15 @@ from oracles import sg_weights_by_polyfit
 
 # ---------------------------------------------------------------------------
 # interpolation
+
+
+def test_track_takes_nan_as_unvoiced_and_rejects_infinity():
+    track = F0Track(0.0, 0.01, [100.0, np.nan, 120.0])
+    assert not track.fully_voiced
+    assert np.isnan(track.values[1])
+    for bad in (np.inf, -np.inf):
+        with pytest.raises(ValidationError, match="voiced F0 values must be finite"):
+            F0Track(0.0, 0.01, [100.0, bad, 120.0])
 
 
 def test_interpolate_midpoint():

@@ -71,6 +71,9 @@ CASES = {
     "align-overlapping-words": (ALIGN, alignment_word(1, "start", lambda w: w["start"] - 0.05)),
     "align-end-before-start": (ALIGN, alignment_word(2, "end", lambda w: w["start"] - 0.01)),
     "align-not-utf8": (ALIGN, lambda raw: raw.replace(b'"word": "', b'"word": "\xff', 1)),
+    # json.dumps writes the lone surrogate as the escape "\ud800"
+    "align-lone-surrogate": (ALIGN, alignment_word(1, "word", lambda w: "\ud800x")),
+    "manifest-lone-surrogate": ("manifest.json", lambda raw: raw.replace(b'"S02"', b'"S\\ud800"')),
 }
 
 
