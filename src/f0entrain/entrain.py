@@ -1,15 +1,17 @@
 """Entrainment measures over parameterized F0 contours.
 
-For each imitation event, the imitator's and the model's per-word contours
-are compared with dynamic time warping (Euclidean local cost on the 1-D
-feature values, unnormalized path cost). ``compute_samples`` gives every
-event's five distances as one ``(5, events)`` table, a row per feature; the
-per-speaker measures are taken from that table:
+A ``ContourStore`` holds every rendition's contours, addressed by rendition
+number: rendition 2e is imitation event e's imitation and 2e + 1 its model.
+For each event, the two per-word contours are compared with dynamic time
+warping (Euclidean local cost on the 1-D feature values, unnormalized path
+cost). ``compute_samples`` gives every event's five distances as one
+``(5, events)`` table, a row per feature; ``measure_corpus`` takes the
+per-speaker measures from that table, each a ``(speakers, 5)`` array:
 
 * ``e_raw``  - mean DTW distance to the real partner across imitated
   utterances (larger = less entrained);
 * ``e_opt``  - mean of the speaker's distances after corpus-wide
-  per-feature outlier removal (Tukey fences) and z-transformation; None
+  per-feature outlier removal (Tukey fences) and z-transformation; NaN
   when every one of the speaker's distances falls outside the fences;
 * partner / other distance - ``e_raw`` against the real partner vs. the
   average over surrogate (non-partner) pairings on the same utterance
@@ -21,6 +23,7 @@ per-speaker measures are taken from that table:
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -29,33 +32,27 @@ import numpy as np
 
 from f0entrain.errors import ComputeError, prefixed
 from f0entrain.features import FEATURE_NAMES, TABLE_ROWS
-from f0entrain.ingest import ROLE_IMITATOR, ROLE_MODEL, CorpusManifest
+from f0entrain.ingest import CorpusManifest
 from f0entrain.quantiles import iqr_fences
-
-RenditionKey = tuple[str, int, str]  # (speaker, utterance_index, role)
 
 
 @dataclass(frozen=True, eq=False)
 class ContourStore:
     """Every rendition's retained words in one read-only ``(7, N)`` float table.
 
-    The table has a row per ``TABLE_ROWS`` name and a column per word: the
-    word's start and end times in seconds, then its five features.
-    ``spans`` maps each rendition's key, (speaker, utterance_index, role),
-    in the order the renditions were added, to the offsets ``(lo, hi)`` of
-    its columns; ``words`` holds each rendition's word texts in the same
-    order, equal texts sharing one ``str``. Looking a rendition up gives its
-    ``(5, n)`` feature block, a view whose row f is the contour of
-    ``FEATURE_NAMES[f]``; nothing is copied.
+    Renditions are numbered in the order they were added: a corpus adds
+    them in manifest order, imitator before model. The table has a row per
+    ``TABLE_ROWS`` name and a column per word: the word's start and end
+    times in seconds, then its five features. Rendition r's words are the
+    columns ``bounds[r]:bounds[r + 1]`` of the 2E + 1 offsets, so its
+    ``(5, n)`` block ``table[2:, bounds[r]:bounds[r + 1]]`` has the contour
+    of ``FEATURE_NAMES[f]`` as row f. ``words`` holds each rendition's word
+    texts, equal texts sharing one ``str``.
     """
 
-    spans: dict[RenditionKey, tuple[int, int]]
+    bounds: np.ndarray
     words: Sequence[tuple[str, ...]]
     table: np.ndarray
-
-    def __getitem__(self, key: RenditionKey) -> np.ndarray:
-        lo, hi = self.spans[key]
-        return self.table[2:, lo:hi]
 
 
 class ContourStoreBuilder:
@@ -67,50 +64,23 @@ class ContourStoreBuilder:
     """
 
     def __init__(self):
-        self._spans: dict[RenditionKey, tuple[int, int]] = {}
+        self._bounds = array("q", [0])
         self._words: list[tuple[str, ...]] = []
         self._values = array("d")
         self._texts: dict[str, str] = {}
-        self._end = 0
 
-    def add(self, key: RenditionKey, words: Sequence[str], table: np.ndarray) -> None:
-        """Append a rendition's words and its ``(7, n)`` table of their values."""
-        start, self._end = self._end, self._end + len(words)
-        self._spans[key] = (start, self._end)
+    def add(self, words: Sequence[str], table: np.ndarray) -> None:
+        """Append the next rendition's words and its ``(7, n)`` table of their values."""
+        self._bounds.append(self._bounds[-1] + len(words))
         self._words.append(tuple(self._texts.setdefault(w, w) for w in words))
         self._values.frombytes(table.T.tobytes())
 
     def build(self) -> ContourStore:
         """The store of every rendition added; the builder is spent."""
+        bounds = np.array(self._bounds, dtype=np.int64)
         table = np.frombuffer(self._values, dtype=np.float64).reshape(-1, len(TABLE_ROWS)).T
-        table.flags.writeable = False
-        return ContourStore(self._spans, self._words, table)
-
-
-@dataclass(frozen=True)
-class EntrainmentScore:
-    speaker: str
-    feature: str
-    e_raw: float
-    e_opt: float | None
-    n_used: int
-    e_opt_alt: float | None = None  # alternative normalization, when requested
-
-
-@dataclass(frozen=True)
-class PartnerOther:
-    speaker: str
-    feature: str
-    partner_distance: float
-    other_distance: float
-    n_surrogates: int
-
-
-@dataclass(frozen=True)
-class DyadScore:
-    dyad: tuple[str, str]
-    feature: str
-    inner_dyad: float
+        bounds.flags.writeable = table.flags.writeable = False
+        return ContourStore(bounds, self._words, table)
 
 
 def dtw_distance(a: Sequence[float], b: Sequence[float]) -> float:
@@ -197,11 +167,12 @@ def dtw_distance(a: Sequence[float], b: Sequence[float]) -> float:
 def compute_samples(manifest: CorpusManifest, contours: ContourStore) -> np.ndarray:
     """Read-only ``(5, events)`` table of DTW distances: a row per feature, a column
     per imitation event in manifest order."""
+    features, bounds = contours.table[2:], contours.bounds.tolist()
     table = np.empty((len(FEATURE_NAMES), len(manifest.utterances)))
-    for e, rec in enumerate(manifest.utterances):
-        # each block converted once for its five DTWs
-        imit = contours[(rec.imitator, rec.index, ROLE_IMITATOR)].tolist()
-        model = contours[(rec.model, rec.index, ROLE_MODEL)].tolist()
+    for e in range(len(manifest.utterances)):
+        # event e's imitation is rendition 2e, its model 2e + 1; each converted once
+        imit = features[:, bounds[2 * e]:bounds[2 * e + 1]].tolist()
+        model = features[:, bounds[2 * e + 1]:bounds[2 * e + 2]].tolist()
         table[:, e] = [dtw_distance(a, b) for a, b in zip(imit, model)]
     table.flags.writeable = False
     return table
@@ -253,11 +224,23 @@ def other_distance(
         raise ValueError(f"unknown surrogate pool policy {pool!r}")
     partner = manifest.partner_of(target)
     target_sex = manifest.speaker(target).sex
-    indices = sorted({rec.index for rec in manifest.utterances if rec.imitator == target})
+    # (speaker, index) -> rendition of the target's imitations and every other speaker's models
+    rendition = {}
+    for e, rec in enumerate(manifest.utterances):
+        if rec.imitator == target:
+            rendition[target, rec.index] = 2 * e
+        elif rec.model != target:
+            rendition[rec.model, rec.index] = 2 * e + 1
+    indices = sorted(k for speaker, k in rendition if speaker == target)
     if not indices:
         raise ComputeError(f"speaker {target!r} imitates no utterance")
+    features, bounds = contours.table[2:], contours.bounds.tolist()
+
+    def block(r: int) -> list[list[float]]:
+        return features[:, bounds[r]:bounds[r + 1]].tolist()
+
     # each imitation's five contours, converted once for all its DTWs
-    imitated = {k: contours[(target, k, ROLE_IMITATOR)].tolist() for k in indices}
+    imitated = {k: block(rendition[target, k]) for k in indices}
 
     candidates = []
     for s in manifest.speakers:
@@ -279,9 +262,8 @@ def other_distance(
     for cand in candidates:
         distances = []  # the five distances of each shared index, in index order
         for k, imit in imitated.items():
-            key = (cand, k, ROLE_MODEL)
-            if key in contours.spans:
-                model = contours[key].tolist()
+            if (cand, k) in rendition:
+                model = block(rendition[cand, k])
                 distances.append([dtw_distance(a, b) for a, b in zip(imit, model)])
         if distances:
             per_candidate.append([float(np.mean(column)) for column in zip(*distances)])
@@ -307,22 +289,33 @@ def inner_dyad_distance(a_score: float, b_score: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class CorpusMeasurement:
-    """Every entrainment measure of a corpus: ``compute_samples``'s ``(5, events)``
-    distance table, then the scores by speaker (dyads in manifest order) and feature."""
+    """Every entrainment measure of a corpus: ``compute_samples``' ``(5, events)``
+    table, then arrays with a column per feature and a row per name in
+    ``speakers`` (the imitators, sorted) or per pair in ``dyads`` (the
+    manifest's dyads whose members both imitate). ``n_used`` counts the
+    samples behind ``e_opt``; ``e_opt`` and ``e_opt_alt`` are NaN where there
+    is no value. ``partner_distance``, ``other_distance`` and ``n_surrogates``
+    have no rows without the surrogate search."""
 
     samples: np.ndarray
-    speaker_scores: tuple[EntrainmentScore, ...]
-    partner_other: tuple[PartnerOther, ...]
-    dyad_scores: tuple[DyadScore, ...]
+    speakers: tuple[str, ...]
+    e_raw: np.ndarray
+    e_opt: np.ndarray
+    e_opt_alt: np.ndarray
+    n_used: np.ndarray
+    partner_distance: np.ndarray
+    other_distance: np.ndarray
+    n_surrogates: np.ndarray
+    dyads: tuple[tuple[str, str], ...]
+    inner_dyad: np.ndarray
 
     def table(self, measure: str) -> dict[str, dict[str, float]]:
-        """Each speaker's ``measure`` ("e_raw" or "e_opt") by feature; a None e_opt is left out."""
-        table: dict[str, dict[str, float]] = {}
-        for s in self.speaker_scores:
-            value = getattr(s, measure)
-            if value is not None:
-                table.setdefault(s.speaker, {})[s.feature] = value
-        return table
+        """Each speaker's ``measure`` ("e_raw" or "e_opt") by feature; a NaN e_opt is left out."""
+        table = {
+            speaker: {f: v for f, v in zip(FEATURE_NAMES, row) if not math.isnan(v)}
+            for speaker, row in zip(self.speakers, getattr(self, measure).tolist())
+        }
+        return {speaker: values for speaker, values in table.items() if values}
 
 
 def measure_corpus(
@@ -339,20 +332,19 @@ def measure_corpus(
     ``norm`` selects the z-transform divisor: sample standard deviation
     (``sd``, the default) or standard error of the mean (``se``); with
     ``se`` both variants are computed and the alternative is reported in
-    ``EntrainmentScore.e_opt_alt``. ``norm_scope`` pools normalization
-    statistics corpus-wide (default) or per speaker. A speaker whose
-    samples of a feature all fall outside the pool's fences gets ``e_opt``
-    None and ``n_used`` 0 for it. ``with_normalization=False`` skips the
-    z-transform (``e_opt`` comes back None), which is needed for
-    degenerate corpora such as perfect imitation where every distance is
-    zero.
+    ``e_opt_alt``. ``norm_scope`` pools normalization statistics
+    corpus-wide (default) or per speaker. A speaker whose samples of a
+    feature all fall outside the pool's fences gets ``e_opt`` NaN and
+    ``n_used`` 0 for it. ``with_normalization=False`` skips the z-transform
+    (``e_opt`` comes back NaN), which is needed for degenerate corpora such
+    as perfect imitation where every distance is zero.
     """
     if norm not in ("sd", "se"):
         raise ValueError(f"unknown normalization mode {norm!r}")
     if norm_scope not in ("corpus", "speaker"):
         raise ValueError(f"unknown normalization scope {norm_scope!r}")
     samples = compute_samples(manifest, contours)
-    speakers = sorted({rec.imitator for rec in manifest.utterances})
+    speakers = tuple(sorted({rec.imitator for rec in manifest.utterances}))
     imitators = np.array([rec.imitator for rec in manifest.utterances])
     corpus_norms = []
     if with_normalization and norm_scope == "corpus":
@@ -360,13 +352,15 @@ def measure_corpus(
             with prefixed(f"feature {feature}"):
                 corpus_norms.append(normalize_samples(row))
 
-    scores: list[EntrainmentScore] = []
-    for speaker in speakers:
+    shape = (len(speakers), len(FEATURE_NAMES))
+    e_raw, n_used = np.empty(shape), np.empty(shape, dtype=np.int64)
+    e_opt, e_opt_alt = np.full((2, *shape), np.nan)
+    for i, speaker in enumerate(speakers):
         own = imitators == speaker
         for f, feature in enumerate(FEATURE_NAMES):
             mine = samples[f][own]
-            e_opt = e_opt_alt = None
-            n_used = mine.size
+            e_raw[i, f] = float(np.mean(mine))
+            n_used[i, f] = mine.size
             if with_normalization:
                 # the pool is the speaker's own samples or the whole row;
                 # ``z`` holds the z-scores of the speaker's retained samples
@@ -377,33 +371,28 @@ def measure_corpus(
                 else:
                     normed = corpus_norms[f]
                     z = normed.z[own[normed.kept]]
-                n_used = z.size
-                if n_used:
-                    e_opt = float(z.mean())
+                n_used[i, f] = z.size
+                if z.size:
+                    e_opt[i, f] = float(z.mean())
                     if norm == "se":
                         # the SE-of-mean divisor rescales every z-score by sqrt(n) of the pool
-                        e_opt_alt = e_opt * float(np.sqrt(np.count_nonzero(normed.kept)))
-            scores.append(
-                EntrainmentScore(speaker, feature, float(np.mean(mine)), e_opt, n_used, e_opt_alt)
-            )
+                        e_opt_alt[i, f] = e_opt[i, f] * float(np.sqrt(normed.kept.sum()))
 
-    raw = {(s.speaker, s.feature): s.e_raw for s in scores}
     # every speaker's normalization comes before any surrogate search, so
     # an error of the former is the one reported
-    partner_other: list[PartnerOther] = []
-    if with_surrogates:
-        for speaker in speakers:
-            others, n_sur = other_distance(speaker, manifest, contours, pool=surrogate_pool)
-            partner_other.extend(
-                PartnerOther(speaker, feature, raw[(speaker, feature)], other, n_sur)
-                for feature, other in zip(FEATURE_NAMES, others)
-            )
+    searched = speakers if with_surrogates else ()
+    other = np.empty((len(searched), len(FEATURE_NAMES)))
+    n_surrogates = np.empty(len(searched), dtype=np.int64)
+    for i, speaker in enumerate(searched):
+        other[i], n_surrogates[i] = other_distance(speaker, manifest, contours, pool=surrogate_pool)
 
-    dyad_scores = []
-    for a, b in manifest.dyads:
-        for feature in FEATURE_NAMES:
-            if (a, feature) in raw and (b, feature) in raw:
-                inner = inner_dyad_distance(raw[(a, feature)], raw[(b, feature)])
-                dyad_scores.append(DyadScore((a, b), feature, inner))
+    position = {speaker: i for i, speaker in enumerate(speakers)}
+    dyads = tuple((a, b) for a, b in manifest.dyads if a in position and b in position)
+    raw = e_raw.tolist()
+    inner = [list(map(inner_dyad_distance, raw[position[a]], raw[position[b]])) for a, b in dyads]
 
-    return CorpusMeasurement(samples, tuple(scores), tuple(partner_other), tuple(dyad_scores))
+    return CorpusMeasurement(
+        samples, speakers, e_raw, e_opt, e_opt_alt, n_used,
+        e_raw[:len(searched)], other, n_surrogates,
+        dyads, np.array(inner).reshape(len(dyads), len(FEATURE_NAMES)),
+    )

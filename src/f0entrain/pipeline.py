@@ -17,7 +17,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -113,21 +113,23 @@ class Rendition:
 class ProcessedCorpus:
     """Every rendition's retained words, in rendition order.
 
-    ``contours`` holds them all: the rendition keys with the offsets of
-    their words, each rendition's word texts, and one read-only
+    ``renditions`` lists them, and ``contours`` holds their words by the same
+    number: each one's word offsets and texts, and one read-only
     ``(7, n_words)`` table of the words' times and features (see
     ``entrain.ContourStore``).
     """
 
+    renditions: Sequence[Rendition]
     contours: ContourStore
     dropped_words: int = 0
     untimed_words: int = 0
 
     def warnings(self) -> list[str]:
         """Data-quality warnings for the user; none of them changes the bundle."""
-        if not self.untimed_words:
-            return []
-        return [f"{self.untimed_words} word(s) without timestamps skipped"]
+        return [f"{n} word(s) {what}" for n, what in (
+            (self.untimed_words, "without timestamps skipped"),
+            (self.dropped_words, "with fewer than 2 pitch samples dropped"),
+        ) if n]
 
 
 def collect_renditions(manifest: CorpusManifest) -> list[Rendition]:
@@ -218,10 +220,10 @@ def process_corpus(
         with prefixed(f"{r.f0_path} with {r.align_path} ({r.role})"):
             utt, dropped = parameterize_utterance(track, spans, r.speaker, r.index)
             build_contours(utt)  # raises unless every contour is non-empty and finite
-        store.add((r.speaker, r.index, r.role), utt.words, utt.table)
+        store.add(utt.words, utt.table)
         total_dropped += dropped
         total_untimed += untimed
-    return ProcessedCorpus(store.build(), total_dropped, total_untimed)
+    return ProcessedCorpus(renditions, store.build(), total_dropped, total_untimed)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +232,8 @@ def process_corpus(
 
 def write_table(path: str | Path | None, header: str, rows: Iterable[str]) -> None:
     """Write ``header`` and then each row, one line at a time; a path of None is stdout."""
+    if path is None:
+        sys.stdout.reconfigure(encoding="utf-8")  # the bytes a file gets, whatever the locale
     with open(path, "w", encoding="utf-8") if path is not None else nullcontext(sys.stdout) as fh:
         fh.write(header + "\n")
         for row in rows:
@@ -237,8 +241,8 @@ def write_table(path: str | Path | None, header: str, rows: Iterable[str]) -> No
 
 
 # Cell formats shared by every table the program writes.
-def f6(x: float | None) -> str:
-    return "" if x is None else f"{x:.6f}"
+def f6(x: float) -> str:
+    return "" if math.isnan(x) else f"{x:.6f}"
 
 
 def p3(p: float | None) -> str:
@@ -255,17 +259,24 @@ def flag(b: bool) -> str:
 
 def write_features_csv(processed: ProcessedCorpus, path: str | Path) -> None:
     """One row per retained word, in rendition order, written as it is formatted."""
-    store = processed.contours
+    store, bounds = processed.contours, processed.contours.bounds.tolist()
     row = "%s,%d,%d,%s" + ",%.6f" * 7
     write_table(
         path,
         "speaker,utterance,word_index,word,start_s,end_s,mean,median,slope,range,drop",
         (
-            row % (speaker, index, word_index, word, *values)
-            for ((speaker, index, _), (lo, hi)), words in zip(store.spans.items(), store.words)
+            row % (r.speaker, r.index, word_index, word, *values)
+            for r, lo, hi, words in zip(processed.renditions, bounds, bounds[1:], store.words)
             for word_index, (word, values) in enumerate(zip(words, store.table.T[lo:hi].tolist()))
         ),
     )
+
+
+def _by_feature(keys: Iterable, *tables: np.ndarray) -> Iterator[tuple]:
+    """(key, feature, each table's value) for each row's key, then each feature in order."""
+    for key, *rows in zip(keys, *(table.tolist() for table in tables)):
+        for feature, *values in zip(FEATURE_NAMES, *rows):
+            yield key, feature, *values
 
 
 def write_samples_csv(
@@ -273,25 +284,26 @@ def write_samples_csv(
 ) -> None:
     write_table(path, "imitator,model,utterance,feature,dtw", (
         f"{rec.imitator},{rec.model},{rec.index},{feature},{f6(distance)}"
-        for rec, distances in zip(manifest.utterances, measurement.samples.T.tolist())
-        for feature, distance in zip(FEATURE_NAMES, distances)
+        for rec, feature, distance in _by_feature(manifest.utterances, measurement.samples.T)
     ))
 
 
 def write_speaker_csv(measurement: CorpusMeasurement, path: str | Path, norm: str = "sd") -> None:
-    se = norm == "se"
+    m, se = measurement, norm == "se"
     write_table(path, "speaker,feature,e_raw,e_opt,n_used" + (",e_opt_se" if se else ""), (
-        f"{s.speaker},{s.feature},{f6(s.e_raw)},{f6(s.e_opt)},{s.n_used}"
-        + (f",{f6(s.e_opt_alt)}" if se else "")
-        for s in measurement.speaker_scores
+        f"{speaker},{feature},{f6(raw)},{f6(opt)},{n}" + (f",{f6(alt)}" if se else "")
+        for speaker, feature, raw, opt, n, alt
+        in _by_feature(m.speakers, m.e_raw, m.e_opt, m.n_used, m.e_opt_alt)
     ))
 
 
 def write_validate_csv(measurement: CorpusMeasurement, path: str | Path) -> None:
+    m = measurement
     write_table(path, "speaker,feature,partner_distance,other_distance,n_surrogates", (
-        f"{po.speaker},{po.feature},{f6(po.partner_distance)},"
-        f"{f6(po.other_distance)},{po.n_surrogates}"
-        for po in measurement.partner_other
+        f"{speaker},{feature},{f6(partner)},{f6(other)},{n}"
+        for (speaker, n), feature, partner, other in _by_feature(
+            zip(m.speakers, m.n_surrogates.tolist()), m.partner_distance, m.other_distance
+        )
     ))
 
 
@@ -313,7 +325,8 @@ def write_ttest_csv(
 
 def write_dyads_csv(measurement: CorpusMeasurement, path: str | Path) -> None:
     write_table(path, "speaker_a,speaker_b,feature,inner_dyad", (
-        f"{d.dyad[0]},{d.dyad[1]},{d.feature},{f6(d.inner_dyad)}" for d in measurement.dyad_scores
+        f"{a},{b},{feature},{f6(inner)}"
+        for (a, b), feature, inner in _by_feature(measurement.dyads, measurement.inner_dyad)
     ))
 
 
@@ -342,14 +355,11 @@ def partner_other_ttests(
     distances are smaller.
     """
     out = []
-    for feature in FEATURE_NAMES:
-        rows = [po for po in measurement.partner_other if po.feature == feature]
-        if not rows:
-            continue
-        partner = [po.partner_distance for po in rows]
-        other = [po.other_distance for po in rows]
-        res = stats.paired_t_test(partner, other, alpha=alpha, trend=trend)
-        out.append((feature, res, stats.one_sided_p(res)))
+    partners, others = measurement.partner_distance.T, measurement.other_distance.T
+    for feature, partner, other in zip(FEATURE_NAMES, partners.tolist(), others.tolist()):
+        if partner:  # empty when the surrogate search did not run
+            res = stats.paired_t_test(partner, other, alpha=alpha, trend=trend)
+            out.append((feature, res, stats.one_sided_p(res)))
     return out
 
 

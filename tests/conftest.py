@@ -20,14 +20,22 @@ from f0entrain.types import F0Track, WordSpan
 PACKAGE_ROOT = str(Path(f0entrain.__file__).resolve().parents[1])
 
 
-def run_cli(*args, cwd=None, env_extra=None):
-    """Run ``python -m f0entrain.cli`` in a fresh interpreter process."""
+def run_cli(*args, cwd=None, env_extra=None, text=True):
+    """Run ``python -m f0entrain.cli`` in a fresh interpreter process.
+
+    Text I/O that falls back to the locale's encoding fails the child: it
+    runs with ``EncodingWarning`` raised as an error. ``text=False`` gives
+    stdout and stderr as bytes.
+    """
     env = dict(os.environ, **(env_extra or {}))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "f0entrain.cli", *map(str, args)],
+        [
+            sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+            "-m", "f0entrain.cli", *map(str, args),
+        ],
         capture_output=True,
-        text=True,
+        text=text,
         env=env,
         cwd=cwd,
     )

@@ -324,7 +324,8 @@ def write_f0_csv_by_rows(track, path):
 # ---------------------------------------------------------------------------
 # reference implementation of the entrainment layer's bookkeeping: e_raw and
 # the speaker-scope pools rescan every sample, the surrogate search scans the
-# whole contour store, and each normalization mode has its own branch
+# whole manifest for each model rendition, and each normalization mode has
+# its own branch
 
 
 def _e_raw_by_rescan(imitator, feature, samples) -> float:
@@ -336,19 +337,25 @@ def _e_raw_by_rescan(imitator, feature, samples) -> float:
     return float(np.mean(values))
 
 
+def _contour(contours, rendition, f):
+    """Feature ``f``'s contour of one rendition, sliced from the store on its own."""
+    lo, hi = contours.bounds[rendition], contours.bounds[rendition + 1]
+    return contours.table[2 + f, lo:hi]
+
+
 def _other_distance_by_scan(target, feature, manifest, contours, pool):
     from f0entrain.entrain import dtw_distance
-    from f0entrain.ingest import ROLE_IMITATOR, ROLE_MODEL
     from f0entrain.errors import ComputeError
     from f0entrain.features import FEATURE_NAMES
 
-    f = FEATURE_NAMES.index(feature)  # a rendition's contours are the rows of its block
+    f = FEATURE_NAMES.index(feature)
 
     partner = manifest.partner_of(target)
     target_sex = manifest.speaker(target).sex
+    # event e's imitation is rendition 2e, its model 2e + 1
     imitated = {
-        k: contours[(spk, k, role)] for spk, k, role in contours.spans
-        if spk == target and role == ROLE_IMITATOR
+        rec.index: _contour(contours, 2 * e, f)
+        for e, rec in enumerate(manifest.utterances) if rec.imitator == target
     }
     if not imitated:
         raise ComputeError(f"speaker {target!r} has no imitation contours")
@@ -363,9 +370,9 @@ def _other_distance_by_scan(target, feature, manifest, contours, pool):
     for cand in candidates:
         distances = []
         for k in sorted(imitated):
-            if (cand, k, ROLE_MODEL) in contours.spans:
-                model = contours[(cand, k, ROLE_MODEL)]
-                distances.append(dtw_distance(imitated[k][f], model[f]))
+            for e, rec in enumerate(manifest.utterances):
+                if rec.model == cand and rec.index == k:
+                    distances.append(dtw_distance(imitated[k], _contour(contours, 2 * e + 1, f)))
         if distances:
             per_candidate.append(float(np.mean(distances)))
     if not per_candidate:
@@ -388,18 +395,13 @@ def measure_corpus_by_rescans(
     """``entrain.measure_corpus`` with a rescan of the samples per speaker.
 
     A speaker and feature whose samples all fall outside the corpus-wide
-    fences raises ComputeError, or, with ``empty_outlier_rows``, gets a row
-    with ``e_opt`` None and ``n_used`` 0.
+    fences raises ComputeError, or, with ``empty_outlier_rows``, gets
+    ``e_opt`` NaN and ``n_used`` 0.
     """
     from types import SimpleNamespace
 
     from f0entrain.entrain import (
-        ROLE_IMITATOR,
-        ROLE_MODEL,
         CorpusMeasurement,
-        DyadScore,
-        EntrainmentScore,
-        PartnerOther,
         dtw_distance,
         inner_dyad_distance,
         normalize_samples,
@@ -407,17 +409,17 @@ def measure_corpus_by_rescans(
     from f0entrain.errors import ComputeError
     from f0entrain.features import FEATURE_NAMES
 
-    # one record per event and feature, each contour looked up on its own
+    # one record per event and feature, each contour looked up on its own:
+    # event e's imitation is rendition 2e, its model 2e + 1
     samples = [
         SimpleNamespace(
             imitator=rec.imitator,
             feature=feature,
             distance=dtw_distance(
-                contours[(rec.imitator, rec.index, ROLE_IMITATOR)][f],
-                contours[(rec.model, rec.index, ROLE_MODEL)][f],
+                _contour(contours, 2 * e, f), _contour(contours, 2 * e + 1, f)
             ),
         )
-        for rec in manifest.utterances
+        for e, rec in enumerate(manifest.utterances)
         for f, feature in enumerate(FEATURE_NAMES)
     ]
     speakers = sorted({rec.imitator for rec in manifest.utterances})
@@ -433,14 +435,15 @@ def measure_corpus_by_rescans(
                 np.array([s.distance for s in by_feature[feature]])
             )
 
-    scores = []
+    # (e_raw, e_opt, n_used, e_opt_alt) by speaker and feature; None is no value
+    scores = {}
     for speaker in speakers:
         for feature in FEATURE_NAMES:
             feature_samples = by_feature[feature]
             raw_value = _e_raw_by_rescan(speaker, feature, feature_samples)
             if not with_normalization:
                 n_own = sum(1 for s in feature_samples if s.imitator == speaker)
-                scores.append(EntrainmentScore(speaker, feature, raw_value, None, n_own))
+                scores[speaker, feature] = (raw_value, None, n_own, None)
                 continue
             if norm_scope == "speaker":
                 pool_samples = [s for s in feature_samples if s.imitator == speaker]
@@ -452,7 +455,7 @@ def measure_corpus_by_rescans(
             keep_owner = normed.kept & owner
             if not keep_owner.any():
                 if empty_outlier_rows:
-                    scores.append(EntrainmentScore(speaker, feature, raw_value, None, 0))
+                    scores[speaker, feature] = (raw_value, None, 0, None)
                     continue
                 raise ComputeError(
                     f"all samples of speaker {speaker!r} removed as outliers "
@@ -462,43 +465,50 @@ def measure_corpus_by_rescans(
             n_retained_pool = int(np.count_nonzero(normed.kept))
             e_opt_sd = float(own_z.mean())
             e_opt_se = e_opt_sd * float(np.sqrt(n_retained_pool))
-            scores.append(
-                EntrainmentScore(
-                    speaker=speaker,
-                    feature=feature,
-                    e_raw=raw_value,
-                    e_opt=e_opt_sd,
-                    n_used=int(np.count_nonzero(keep_owner)),
-                    e_opt_alt=e_opt_se if norm == "se" else None,
-                )
+            scores[speaker, feature] = (
+                raw_value,
+                e_opt_sd,
+                int(np.count_nonzero(keep_owner)),
+                e_opt_se if norm == "se" else None,
             )
 
-    raw = {(s.speaker, s.feature): s.e_raw for s in scores}
-    partner_other = []
+    def by_speaker(column, dtype=float):
+        values = [[scores[s, f][column] for f in FEATURE_NAMES] for s in speakers]
+        values = [[np.nan if v is None else v for v in row] for row in values]
+        return np.array(values, dtype=dtype).reshape(len(speakers), len(FEATURE_NAMES))
+
+    partner, other, n_surrogates = [], [], []
     if with_surrogates:
         for speaker in speakers:
+            partner.append([scores[speaker, feature][0] for feature in FEATURE_NAMES])
+            other.append([])
             for feature in FEATURE_NAMES:
-                other, n_sur = _other_distance_by_scan(
+                distance, n_sur = _other_distance_by_scan(
                     speaker, feature, manifest, contours, surrogate_pool
                 )
-                partner_other.append(
-                    PartnerOther(speaker, feature, raw[(speaker, feature)], other, n_sur)
-                )
+                other[-1].append(distance)
+            n_surrogates.append(n_sur)
 
-    dyad_scores = []
+    dyads, inner = [], []
     for a, b in manifest.dyads:
-        for feature in FEATURE_NAMES:
-            if (a, feature) not in raw or (b, feature) not in raw:
-                continue
-            dyad_scores.append(
-                DyadScore(
-                    (a, b), feature, inner_dyad_distance(raw[(a, feature)], raw[(b, feature)])
-                )
-            )
+        if a not in speakers or b not in speakers:
+            continue
+        dyads.append((a, b))
+        inner.append([
+            inner_dyad_distance(scores[a, feature][0], scores[b, feature][0])
+            for feature in FEATURE_NAMES
+        ])
 
     return CorpusMeasurement(
         samples=np.array([[s.distance for s in by_feature[f]] for f in FEATURE_NAMES]),
-        speaker_scores=tuple(scores),
-        partner_other=tuple(partner_other),
-        dyad_scores=tuple(dyad_scores),
+        speakers=tuple(speakers),
+        e_raw=by_speaker(0),
+        e_opt=by_speaker(1),
+        e_opt_alt=by_speaker(3),
+        n_used=by_speaker(2, dtype=np.int64),
+        partner_distance=np.array(partner).reshape(len(partner), len(FEATURE_NAMES)),
+        other_distance=np.array(other).reshape(len(other), len(FEATURE_NAMES)),
+        n_surrogates=np.array(n_surrogates, dtype=np.int64),
+        dyads=tuple(dyads),
+        inner_dyad=np.array(inner).reshape(len(dyads), len(FEATURE_NAMES)),
     )

@@ -158,12 +158,11 @@ def test_c06_entrainment_recovery(tmp_path):
                 corpus_dir,
             )
             measurement = _measure(manifest_path)
-            by_feature: dict[str, list] = {f: [] for f in FEATURE_NAMES}
-            for po in measurement.partner_other:
-                by_feature[po.feature].append(po)
-            for feature, rows in by_feature.items():
-                partner = [po.partner_distance for po in rows]
-                other = [po.other_distance for po in rows]
+            for feature, partner, other in zip(
+                FEATURE_NAMES,
+                measurement.partner_distance.T.tolist(),
+                measurement.other_distance.T.tolist(),
+            ):
                 res = stats.paired_t_test(partner, other)
                 if (
                     float(np.mean(partner)) < float(np.mean(other))
@@ -193,8 +192,8 @@ def test_c07_monotonicity_in_noise(tmp_path):
                 measurement = _measure(
                     manifest_path, surrogates=False, normalization=False
                 )
-                for s in measurement.speaker_scores:
-                    acc[s.feature].append(s.e_raw)
+                for f, column in zip(FEATURE_NAMES, measurement.e_raw.T.tolist()):
+                    acc[f].extend(column)
             for f in FEATURE_NAMES:
                 means[f].append(float(np.mean(acc[f])))
         for f in FEATURE_NAMES:
@@ -254,12 +253,10 @@ def test_c10_run_determinism(tmp_path):
         manifest_path = synth.gen_corpus(
             synth.SynthConfig(n_dyads=4, n_utterances=6, noise_eps=0.6, seed=1010), corpus_dir
         )
+        measurement = _measure(manifest_path, surrogates=False)
+        mean = FEATURE_NAMES.index("mean")
         scores_rows = synth.gen_scores(
-            {
-                s.speaker: s.e_raw
-                for s in _measure(manifest_path, surrogates=False).speaker_scores
-                if s.feature == "mean"
-            },
+            dict(zip(measurement.speakers, measurement.e_raw[:, mean].tolist())),
             coupling=0.4,
             noise=0.1,
             seed=4,

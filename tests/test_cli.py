@@ -454,6 +454,42 @@ def test_untimed_words_reported_as_warning(tmp_path):
     assert res.stderr == "warning: 1 word(s) without timestamps skipped\n"
 
 
+def _features_with_warnings(corpus_dir: Path, out: Path):
+    """(features.csv rows, stderr) of ``features`` on a corpus; the command must exit 0."""
+    res = run_cli("features", "--manifest", corpus_dir / "manifest.json", "--out", out)
+    assert res.returncode == 0, res.stderr
+    return len(out.read_text().splitlines()) - 1, res.stderr
+
+
+def test_word_shorter_than_two_samples_reported_as_dropped(tmp_path):
+    corpus_dir = tmp_path / "c"
+    synth.gen_corpus(synth.SynthConfig(n_dyads=2, n_utterances=1), corpus_dir)
+    rows, err = _features_with_warnings(corpus_dir, tmp_path / "before.csv")
+    assert err == ""
+    align = corpus_dir / "align" / "S00_000_imit.json"
+    doc = json.loads(align.read_text())
+    word = doc["segments"][0]["words"][1]
+    word["end"] = round(word["start"] + 0.005, 6)  # at most one 10 ms pitch sample
+    align.write_text(json.dumps(doc))
+    rows_after, err = _features_with_warnings(corpus_dir, tmp_path / "after.csv")
+    assert rows_after == rows - 1
+    assert err == "warning: 1 word(s) with fewer than 2 pitch samples dropped\n"
+
+
+def test_truncated_f0_file_reported_as_dropped_words(tmp_path):
+    corpus_dir = tmp_path / "c"
+    synth.gen_corpus(synth.SynthConfig(n_dyads=2, n_utterances=1), corpus_dir)
+    rows, _ = _features_with_warnings(corpus_dir, tmp_path / "before.csv")
+    f0 = corpus_dir / "f0" / "S00_000_imit.csv"
+    lines = f0.read_text().splitlines(keepends=True)
+    f0.write_text("".join(lines[: len(lines) // 2]))  # cut at a line boundary
+    rows_after, err = _features_with_warnings(corpus_dir, tmp_path / "after.csv")
+    message = r"warning: (\d+) word\(s\) with fewer than 2 pitch samples dropped\n"
+    dropped = re.fullmatch(message, err)
+    assert dropped, err
+    assert rows_after == rows - int(dropped[1]) < rows
+
+
 def test_bundle_bytes_do_not_depend_on_the_locale(tmp_path):
     manifest = synth.gen_corpus(synth.SynthConfig(n_dyads=4, n_utterances=2, noise_eps=0.5), tmp_path)
     align = tmp_path / json.loads(manifest.read_text())["utterances"][0]["imitator_align"]
@@ -470,6 +506,24 @@ def test_bundle_bytes_do_not_depend_on_the_locale(tmp_path):
         bundles.append(_bundle_bytes(out))
     assert "élève".encode() in bundles[0]["features.csv"]
     assert bundles[1] == bundles[0]
+
+
+def test_stdout_table_bytes_do_not_depend_on_the_locale(tmp_path):
+    rows = ["grp,a,b"] + [
+        f"{group},{1.0 + i + k},{2.5 + 2 * i - k}" for k, group in enumerate(("élève", "x"))
+        for i in range(4)
+    ]
+    (tmp_path / "st.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    argv = ["stats", "ttest", "--csv", "st.csv", "--x", "a", "--y", "b", "--by", "grp"]
+    assert run_cli(*argv, "--out", "t.csv", cwd=tmp_path).returncode == 0
+    printed = []
+    # the C locale with neither locale coercion nor UTF-8 mode: the locale's encoding is ASCII
+    for env in ({}, {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}):
+        res = run_cli(*argv, cwd=tmp_path, env_extra=env, text=False)
+        assert res.returncode == 0, res.stderr
+        printed.append(res.stdout)
+    assert "élève".encode() in printed[0]
+    assert printed[1] == printed[0] == (tmp_path / "t.csv").read_bytes()
 
 
 def test_stats_subcommands(corpus, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from f0entrain import pipeline, synth
 from f0entrain.entrain import (
     ContourStoreBuilder,
+    CorpusMeasurement,
     inner_dyad_distance,
     measure_corpus,
     normalize_samples,
@@ -111,20 +113,26 @@ def _two_dyad_contours():
     return doc, contours
 
 
-def _store(contours):
-    """The ContourStore of hand-built {feature: values} contours; word times are 0."""
+def _store(doc, contours):
+    """The ContourStore of hand-built {feature: values} contours; word times are 0.
+
+    The renditions are added in manifest order, imitator before model, as
+    the pipeline adds them.
+    """
     builder = ContourStoreBuilder()
-    for key, by_feature in contours.items():
-        features = np.array([by_feature[f] for f in FEATURE_NAMES])
-        times = np.zeros((2, features.shape[1]))
-        builder.add(key, ["w"] * features.shape[1], np.vstack([times, features]))
+    for u in doc["utterances"]:
+        k = u["index"]
+        for key in ((u["imitator"], k, ROLE_IMITATOR), (u["model"], k, ROLE_MODEL)):
+            features = np.array([contours[key][f] for f in FEATURE_NAMES])
+            times = np.zeros((2, features.shape[1]))
+            builder.add(["w"] * features.shape[1], np.vstack([times, features]))
     return builder.build()
 
 
 def test_other_distance_counts_both_nonpartners(tmp_path):
     doc, contours = _two_dyad_contours()
     manifest = load_manifest(write_manifest_doc(doc, tmp_path))
-    others, n = other_distance("A", manifest, _store(contours))
+    others, n = other_distance("A", manifest, _store(doc, contours))
     assert n == 2  # C and D both eligible
     # E_raw^(A,C) pairs A's imitations (10+k..) with C's models (30+k..):
     # each word differs by 20 -> DTW 60 per utterance; for D 45 -> 135;
@@ -139,7 +147,7 @@ def test_other_distance_single_dyad_empty_pool(tmp_path):
     doc["utterances"] = [u for u in doc["utterances"] if u["imitator"] in "AB"]
     manifest = load_manifest(write_manifest_doc(doc, tmp_path))
     with pytest.raises(ComputeError, match="empty surrogate pool"):
-        other_distance("A", manifest, _store(contours))
+        other_distance("A", manifest, _store(doc, contours))
 
 
 def test_other_distance_same_sex_pool_respects_sex(tmp_path):
@@ -152,17 +160,22 @@ def test_other_distance_same_sex_pool_respects_sex(tmp_path):
     ]
     manifest = load_manifest(write_manifest_doc(doc, tmp_path))
     with pytest.raises(ComputeError, match="empty surrogate pool"):
-        other_distance("A", manifest, _store(contours))
-    others, n = other_distance("A", manifest, _store(contours), pool="all")
+        other_distance("A", manifest, _store(doc, contours))
+    others, n = other_distance("A", manifest, _store(doc, contours), pool="all")
     assert n == 2 and len(others) == len(FEATURE_NAMES) and min(others) > 0
 
 
 def test_candidates_without_shared_indices_skipped(tmp_path):
     doc, contours = _two_dyad_contours()
+    # C's model renditions move to indices A never imitates: only D remains usable
+    for u in doc["utterances"]:
+        if u["model"] == "C":
+            k = u["index"]
+            u["index"] = k + 2
+            contours[("D", k + 2, ROLE_IMITATOR)] = contours[("D", k, ROLE_IMITATOR)]
+            contours[("C", k + 2, ROLE_MODEL)] = contours[("C", k, ROLE_MODEL)]
     manifest = load_manifest(write_manifest_doc(doc, tmp_path))
-    # strip C's model contours entirely: only D remains usable
-    contours = {k: v for k, v in contours.items() if not (k[0] == "C" and k[2] == ROLE_MODEL)}
-    others, n = other_distance("A", manifest, _store(contours))
+    others, n = other_distance("A", manifest, _store(doc, contours))
     assert n == 1
     assert others == pytest.approx([135.0] * len(FEATURE_NAMES))
 
@@ -170,15 +183,15 @@ def test_candidates_without_shared_indices_skipped(tmp_path):
 def test_measure_corpus_end_to_end(tmp_path):
     doc, contours = _two_dyad_contours()
     manifest = load_manifest(write_manifest_doc(doc, tmp_path))
-    meas = measure_corpus(manifest, _store(contours))
+    meas = measure_corpus(manifest, _store(doc, contours))
     # A's contours (10+k, 11+k, 12+k) vs B's (11+k, ...): the warped path
     # (0,0),(1,0),(2,1),(2,2) costs 1+0+0+1 = 2, beating the diagonal's 3
-    po = {(p.speaker, p.feature): p for p in meas.partner_other}
-    assert po[("A", "mean")].partner_distance == pytest.approx(2.0)
-    assert po[("A", "mean")].other_distance > po[("A", "mean")].partner_distance
+    a, mean = meas.speakers.index("A"), FEATURE_NAMES.index("mean")
+    assert meas.partner_distance[a, mean] == pytest.approx(2.0)
+    assert meas.other_distance[a, mean] > meas.partner_distance[a, mean]
     # the partner distance is e_raw by definition
-    for s in meas.speaker_scores:
-        assert po[(s.speaker, s.feature)].partner_distance == s.e_raw
+    assert meas.partner_distance.shape == meas.e_raw.shape
+    assert (meas.partner_distance == meas.e_raw).all()
     # corpus-wide normalized samples have mean 0 / sd 1
     assert meas.samples.shape == (len(FEATURE_NAMES), len(manifest.utterances))
     for values in meas.samples:
@@ -186,10 +199,10 @@ def test_measure_corpus_end_to_end(tmp_path):
         assert abs(z.mean()) < 1e-9
         assert abs(z.std(ddof=1) - 1.0) < 1e-9
     # dyads are antisymmetric by construction
-    for d in meas.dyad_scores:
-        a, b = d.dyad
-        raw = meas.table("e_raw")
-        assert d.inner_dyad == -inner_dyad_distance(raw[b][d.feature], raw[a][d.feature])
+    raw = meas.table("e_raw")
+    for (a, b), row in zip(meas.dyads, meas.inner_dyad.tolist()):
+        for feature, inner in zip(FEATURE_NAMES, row):
+            assert inner == -inner_dyad_distance(raw[b][feature], raw[a][feature])
 
 
 def test_e_opt_sums_to_zero_for_symmetric_two_speaker_corpus(tmp_path):
@@ -206,31 +219,27 @@ def test_e_opt_sums_to_zero_for_symmetric_two_speaker_corpus(tmp_path):
             f: contours[("B", k, ROLE_IMITATOR)][f] + (k + 1.0) for f in FEATURE_NAMES
         }
     manifest = load_manifest(write_manifest_doc(doc, tmp_path))
-    meas = measure_corpus(manifest, _store(contours), with_surrogates=False)
-    for feature in FEATURE_NAMES:
-        by_speaker = [s for s in meas.speaker_scores if s.feature == feature]
+    meas = measure_corpus(manifest, _store(doc, contours), with_surrogates=False)
+    for by_speaker in meas.e_opt.T.tolist():
         assert len(by_speaker) == 2
-        assert sum(s.e_opt for s in by_speaker) == pytest.approx(0.0, abs=1e-9)
+        assert sum(by_speaker) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_e_opt_weighted_zero_mean_across_corpus(tmp_path):
     doc, contours = _two_dyad_contours()
     manifest = load_manifest(write_manifest_doc(doc, tmp_path))
-    meas = measure_corpus(manifest, _store(contours))
-    for feature in FEATURE_NAMES:
-        weighted = [
-            s.e_opt * s.n_used for s in meas.speaker_scores if s.feature == feature
-        ]
+    meas = measure_corpus(manifest, _store(doc, contours))
+    for e_opt, n_used in zip(meas.e_opt.T.tolist(), meas.n_used.T.tolist()):
+        weighted = [x * n for x, n in zip(e_opt, n_used)]
         assert sum(weighted) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_norm_se_reports_both(tmp_path):
     doc, contours = _two_dyad_contours()
     manifest = load_manifest(write_manifest_doc(doc, tmp_path))
-    meas = measure_corpus(manifest, _store(contours), norm="se")
-    s = meas.speaker_scores[0]
+    meas = measure_corpus(manifest, _store(doc, contours), norm="se")
     n_pool = 8  # 4 speakers x 2 utterances, none removed
-    assert s.e_opt_alt == pytest.approx(s.e_opt * np.sqrt(n_pool))
+    assert meas.e_opt_alt[0, 0] == pytest.approx(meas.e_opt[0, 0] * np.sqrt(n_pool))
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +287,14 @@ def test_measure_corpus_matches_rescans(
         expected = measure_corpus_by_rescans(
             manifest, contours, empty_outlier_rows=True, **options
         )
-        assert [(s.speaker, s.feature) for s in expected.speaker_scores if s.n_used == 0]
+        assert (expected.n_used == 0).any()
     got = measure_corpus(manifest, contours, **options)
     assert np.array_equal(got.samples, expected.samples)
-    assert (got.speaker_scores, got.partner_other, got.dyad_scores) == (
-        expected.speaker_scores, expected.partner_other, expected.dyad_scores
-    )
+    for field in dataclasses.fields(CorpusMeasurement):
+        value, want = getattr(got, field.name), getattr(expected, field.name)
+        if isinstance(want, np.ndarray):
+            # NaN marks "no value" in both; every other entry is compared with ==
+            assert value.shape == want.shape, field.name
+            assert np.array_equal(value, want, equal_nan=True), field.name
+        else:
+            assert value == want, field.name

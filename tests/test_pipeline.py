@@ -24,6 +24,7 @@ import pytest
 
 from f0entrain import ingest, pipeline, synth
 from f0entrain.errors import ParseError
+from f0entrain.features import FEATURE_NAMES
 
 from conftest import nudge_f0_byte, render_wavs
 
@@ -132,12 +133,19 @@ def test_each_named_file_is_hashed_once(tmp_path, monkeypatch, options):
 def _speaker_values(manifest_path: Path) -> dict:
     stages = pipeline.run_stages(_config(manifest_path, "."), {"dtw", "norm", "surrogates"})
     m = stages.measurement
-    values = {("score", s.speaker, s.feature): (s.e_raw, s.e_opt, s.n_used) for s in m.speaker_scores}
-    values.update(
-        (("validate", p.speaker, p.feature), (p.partner_distance, p.other_distance, p.n_surrogates))
-        for p in m.partner_other
-    )
-    values.update((("dyad", *d.dyad, d.feature), (d.inner_dyad,)) for d in m.dyad_scores)
+    values = {}
+    for i, speaker in enumerate(m.speakers):
+        for f, feature in enumerate(FEATURE_NAMES):
+            e_opt = None if np.isnan(m.e_opt[i, f]) else float(m.e_opt[i, f])
+            values["score", speaker, feature] = (float(m.e_raw[i, f]), e_opt, int(m.n_used[i, f]))
+            values["validate", speaker, feature] = (
+                float(m.partner_distance[i, f]), float(m.other_distance[i, f]),
+                int(m.n_surrogates[i]),
+            )
+    for (a, b), row in zip(m.dyads, m.inner_dyad.tolist()):
+        values.update(
+            (("dyad", a, b, feature), (inner,)) for feature, inner in zip(FEATURE_NAMES, row)
+        )
     return values
 
 
@@ -224,7 +232,9 @@ def test_time_shift_moves_only_the_word_times(corpus, tmp_path, c):
         for manifest in (corpus / "manifest.json", root / "manifest.json")
     )
     assert shifted.dropped_words == base.dropped_words
-    assert shifted.contours.spans == base.contours.spans
+    keys = [[(r.speaker, r.index, r.role) for r in p.renditions] for p in (base, shifted)]
+    assert keys[1] == keys[0]
+    assert np.array_equal(shifted.contours.bounds, base.contours.bounds)
     assert shifted.contours.words == base.contours.words
     times, features = base.contours.table[:2], base.contours.table[2:]
     np.testing.assert_allclose(shifted.contours.table[:2], times + c, rtol=0, atol=1e-9)
