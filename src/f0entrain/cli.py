@@ -21,7 +21,7 @@ from f0entrain import __version__, ingest, pipeline, stats, synth
 from f0entrain.errors import ComputeError, DataError, ParseError, ValidationError, prefixed
 from f0entrain.ingest import ALL_CRITERIA
 from f0entrain.preprocess import SmoothingConfig, clean_track
-from f0entrain.pipeline import CHOICES, RunConfig, flag, g6, p3, write_table
+from f0entrain.pipeline import CHOICES, RunConfig, flag, g6, p3, quote, significance, write_table
 
 # RunConfig field -> its type, None dropped from an optional one
 CONFIG_TYPES = {
@@ -97,7 +97,7 @@ def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=float,
                         help=f"significance level (default {stats.DEFAULT_ALPHA})")
     parser.add_argument("--trend", type=float,
-                        help=f"trend threshold (default {stats.DEFAULT_TREND})")
+                        help=f"trend threshold (default {pipeline.DEFAULT_TREND})")
     parser.add_argument("--semitone", type=float, metavar="REF_HZ",
                         help="convert tracks to semitones re REF_HZ before parameterization")
     parser.add_argument("--from-wav", action="store_true", default=None, dest="from_wav",
@@ -232,10 +232,11 @@ def cmd_stats_ttest(args) -> int:
     for name, group in groups.items():
         x, y = _numbers(args.csv, group, args.x), _numbers(args.csv, group, args.y)
         with prefixed(f"{args.csv}: group {name}"):
-            res = stats.paired_t_test(x, y, alpha=args.alpha, trend=args.trend)
+            res = stats.paired_t_test(x, y)
         lines.append(
-            f"{name},{g6(res.statistic)},{res.df:g},{p3(res.p_value)},"
-            f"{p3(stats.one_sided_p(res))},{flag(res.significant)},{flag(res.trend)}"
+            f"{quote(name)},{g6(res.statistic)},{res.df:g},{p3(res.p_value)},"
+            f"{p3(stats.one_sided_p(res))},"
+            + ",".join(map(flag, significance(res.p_value, args.alpha, args.trend)))
         )
     write_table(args.out, "group,t,df,p_value,p_one_sided,significant,trend", lines)
     return 0
@@ -246,10 +247,10 @@ def cmd_stats_pearson(args) -> int:
     rows = _data_rows(args.csv, args.x, args.y)
     x, y = _numbers(args.csv, rows, args.x), _numbers(args.csv, rows, args.y)
     with prefixed(args.csv):
-        res = stats.pearson(x, y, alpha=args.alpha, trend=args.trend)
+        res = stats.pearson(x, y)
     write_table(args.out, "r,df,p_value,n,significant,trend", [
         f"{g6(res.statistic)},{res.df:g},{p3(res.p_value)},{len(x)},"
-        f"{flag(res.significant)},{flag(res.trend)}"
+        + ",".join(map(flag, significance(res.p_value, args.alpha, args.trend)))
     ])
     return 0
 
@@ -295,8 +296,8 @@ def cmd_grid(args) -> int:
     table = _entrain_table(args.entrain, args.measure)
     scores = ingest.load_scores(args.scores).speaker_means()
     with prefixed(f"{args.entrain} with {args.scores}"):
-        cells = stats.correlate_grid(table, scores, alpha=args.alpha, trend=args.trend)
-    pipeline.write_grid_csv(cells, args.out)
+        cells = stats.correlate_grid(table, scores)
+    pipeline.write_grid_csv(cells, args.out, alpha=args.alpha, trend=args.trend)
     return 0
 
 
@@ -346,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--y", required=True)
     q.add_argument("--by", help="group rows by this column (one test per group)")
     q.add_argument("--alpha", type=float, default=stats.DEFAULT_ALPHA)
-    q.add_argument("--trend", type=float, default=stats.DEFAULT_TREND)
+    q.add_argument("--trend", type=float, default=pipeline.DEFAULT_TREND)
     q.add_argument("--out")
     q.set_defaults(func=cmd_stats_ttest)
 
@@ -355,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--x", required=True)
     q.add_argument("--y", required=True)
     q.add_argument("--alpha", type=float, default=stats.DEFAULT_ALPHA)
-    q.add_argument("--trend", type=float, default=stats.DEFAULT_TREND)
+    q.add_argument("--trend", type=float, default=pipeline.DEFAULT_TREND)
     q.add_argument("--out")
     q.set_defaults(func=cmd_stats_pearson)
 
@@ -373,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--measure", choices=CHOICES["grid_measure"], default="e_opt")
     p.add_argument("--alpha", type=float, default=stats.DEFAULT_ALPHA)
-    p.add_argument("--trend", type=float, default=stats.DEFAULT_TREND)
+    p.add_argument("--trend", type=float, default=pipeline.DEFAULT_TREND)
     p.set_defaults(func=cmd_grid)
 
     return parser

@@ -181,8 +181,6 @@ def compute_samples(manifest: CorpusManifest, contours: ContourStore) -> np.ndar
 class NormalizedSamples(NamedTuple):
     z: np.ndarray        # z-scores of the retained samples, input order
     kept: np.ndarray     # boolean mask over the input samples
-    mean: float          # mean of the retained samples
-    sd: float            # sample standard deviation (n-1) of the retained samples
 
 
 def normalize_samples(values: Sequence[float] | np.ndarray) -> NormalizedSamples:
@@ -203,7 +201,7 @@ def normalize_samples(values: Sequence[float] | np.ndarray) -> NormalizedSamples
     sd = float(retained.std(ddof=1))
     if sd == 0.0:
         raise ComputeError("zero variance: all retained samples are equal")
-    return NormalizedSamples((retained - mean) / sd, kept, mean, sd)
+    return NormalizedSamples((retained - mean) / sd, kept)
 
 
 def other_distance(

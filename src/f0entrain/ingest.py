@@ -317,12 +317,12 @@ def load_manifest(path: str | Path) -> CorpusManifest:
         imitator = str(_require(entry, "imitator", context))
         model = str(_require(entry, "model", context))
         index = _require(entry, "index", context)
-        try:
-            if isinstance(index, float) and not index.is_integer():
-                raise ValueError  # int() would truncate 1.5, or fail on inf and nan
-            index = int(index)
-        except (TypeError, ValueError):
-            raise ParseError(f"{context} has non-integer index {index!r}") from None
+        # a JSON number with no fraction: int() would take true or "0", truncate 1.5
+        if isinstance(index, bool) or not (
+            isinstance(index, int) or isinstance(index, float) and index.is_integer()
+        ):
+            raise ParseError(f"{context} has non-integer index {index!r}")
+        index = int(index)
         if imitator not in known:
             raise ValidationError(f"{context} references unknown speaker {imitator!r}")
         if model not in known:

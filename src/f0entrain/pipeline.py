@@ -6,7 +6,9 @@ bundle. ``BUNDLE`` maps each bundle file to its writer and the stages it
 needs; ``run_pipeline`` runs only the stages of the files it is asked
 for, and all of them before it writes the first file. Every stage runs
 in manifest order in one thread, so the output bytes depend only on the
-corpus and the configuration.
+corpus and the configuration. The statistics stage computes numbers
+only; the writers judge each p-value against ``--alpha`` and ``--trend``
+(``significance``) and quote text cells (``quote``).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import math
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, asdict
+from functools import lru_cache
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
@@ -40,6 +43,7 @@ from f0entrain.preprocess import (
 )
 
 QUANTILE_CONVENTION = "type7"
+DEFAULT_TREND = 0.1
 
 # The values each choice field of RunConfig accepts, default first; the
 # command line offers the same. norm "se" reports the "sd" scores as well.
@@ -72,7 +76,7 @@ class RunConfig:
     norm: str = "sd"
     norm_scope: str = "corpus"
     alpha: float = stats.DEFAULT_ALPHA
-    trend: float = stats.DEFAULT_TREND
+    trend: float = DEFAULT_TREND
     semitone: float | None = None          # reference Hz; None = stay in Hz
     from_wav: bool = False
     pitch_floor: float = 75.0
@@ -257,6 +261,22 @@ def flag(b: bool) -> str:
     return "true" if b else "false"
 
 
+def significance(p: float | None, alpha: float, trend: float) -> tuple[bool, bool]:
+    """(significant, trend): p < alpha, and significant or p < trend; no p is neither."""
+    if p is None:
+        return False, False
+    significant = p < alpha
+    return significant, significant or p < trend
+
+
+@lru_cache(maxsize=None)  # a table repeats few distinct texts: speaker ids, words
+def quote(cell: str) -> str:
+    """A text cell as ``csv.writer`` writes it: quoted if it holds ``,``, ``"`` or a line break."""
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def write_features_csv(processed: ProcessedCorpus, path: str | Path) -> None:
     """One row per retained word, in rendition order, written as it is formatted."""
     store, bounds = processed.contours, processed.contours.bounds.tolist()
@@ -265,7 +285,7 @@ def write_features_csv(processed: ProcessedCorpus, path: str | Path) -> None:
         path,
         "speaker,utterance,word_index,word,start_s,end_s,mean,median,slope,range,drop",
         (
-            row % (r.speaker, r.index, word_index, word, *values)
+            row % (quote(r.speaker), r.index, word_index, quote(word), *values)
             for r, lo, hi, words in zip(processed.renditions, bounds, bounds[1:], store.words)
             for word_index, (word, values) in enumerate(zip(words, store.table.T[lo:hi].tolist()))
         ),
@@ -283,7 +303,7 @@ def write_samples_csv(
     manifest: CorpusManifest, measurement: CorpusMeasurement, path: str | Path
 ) -> None:
     write_table(path, "imitator,model,utterance,feature,dtw", (
-        f"{rec.imitator},{rec.model},{rec.index},{feature},{f6(distance)}"
+        f"{quote(rec.imitator)},{quote(rec.model)},{rec.index},{feature},{f6(distance)}"
         for rec, feature, distance in _by_feature(manifest.utterances, measurement.samples.T)
     ))
 
@@ -291,7 +311,7 @@ def write_samples_csv(
 def write_speaker_csv(measurement: CorpusMeasurement, path: str | Path, norm: str = "sd") -> None:
     m, se = measurement, norm == "se"
     write_table(path, "speaker,feature,e_raw,e_opt,n_used" + (",e_opt_se" if se else ""), (
-        f"{speaker},{feature},{f6(raw)},{f6(opt)},{n}" + (f",{f6(alt)}" if se else "")
+        f"{quote(speaker)},{feature},{f6(raw)},{f6(opt)},{n}" + (f",{f6(alt)}" if se else "")
         for speaker, feature, raw, opt, n, alt
         in _by_feature(m.speakers, m.e_raw, m.e_opt, m.n_used, m.e_opt_alt)
     ))
@@ -300,7 +320,7 @@ def write_speaker_csv(measurement: CorpusMeasurement, path: str | Path, norm: st
 def write_validate_csv(measurement: CorpusMeasurement, path: str | Path) -> None:
     m = measurement
     write_table(path, "speaker,feature,partner_distance,other_distance,n_surrogates", (
-        f"{speaker},{feature},{f6(partner)},{f6(other)},{n}"
+        f"{quote(speaker)},{feature},{f6(partner)},{f6(other)},{n}"
         for (speaker, n), feature, partner, other in _by_feature(
             zip(m.speakers, m.n_surrogates.tolist()), m.partner_distance, m.other_distance
         )
@@ -315,26 +335,30 @@ def write_ttest_csv(
     """Partner-vs-other report shaped like a t-test summary table.
 
     The printed p-value is the one-sided (partner < other) tail; ``sig``
-    is ``*`` when it clears the significance level.
+    is ``*`` when it is significant at ``alpha``; the table has no trend cell.
     """
     write_table(path, "feature,t,df,p_value,sig", (
-        f"{feature},{g6(res.statistic)},{res.df:g},{p3(p_one)},{'*' if p_one < alpha else ''}"
+        f"{feature},{g6(res.statistic)},{res.df:g},{p3(p_one)},"
+        f"{'*' if significance(p_one, alpha, alpha)[0] else ''}"
         for feature, res, p_one in tests
     ))
 
 
 def write_dyads_csv(measurement: CorpusMeasurement, path: str | Path) -> None:
     write_table(path, "speaker_a,speaker_b,feature,inner_dyad", (
-        f"{a},{b},{feature},{f6(inner)}"
+        f"{quote(a)},{quote(b)},{feature},{f6(inner)}"
         for (a, b), feature, inner in _by_feature(measurement.dyads, measurement.inner_dyad)
     ))
 
 
-def write_grid_csv(cells: Sequence[stats.GridCell], path: str | Path) -> None:
+def write_grid_csv(
+    cells: Sequence[stats.GridCell], path: str | Path,
+    alpha: float = stats.DEFAULT_ALPHA, trend: float = DEFAULT_TREND,
+) -> None:
     """Long-form correlation grid, rows in the given (``correlate_grid``'s) order."""
     write_table(path, "feature,criterion,r,p,n,significant,trend", (
         f"{c.feature},{c.criterion},{g6(c.r)},{p3(c.p)},{c.n},"
-        f"{flag(c.significant)},{flag(c.trend)}"
+        + ",".join(map(flag, significance(c.p, alpha, trend)))
         for c in cells
     ))
 
@@ -345,8 +369,6 @@ def write_grid_csv(cells: Sequence[stats.GridCell], path: str | Path) -> None:
 
 def partner_other_ttests(
     measurement: CorpusMeasurement,
-    alpha: float = stats.DEFAULT_ALPHA,
-    trend: float = stats.DEFAULT_TREND,
 ) -> list[tuple[str, stats.TestResult, float]]:
     """Per-feature paired t-test of partner vs. other distances.
 
@@ -358,7 +380,7 @@ def partner_other_ttests(
     partners, others = measurement.partner_distance.T, measurement.other_distance.T
     for feature, partner, other in zip(FEATURE_NAMES, partners.tolist(), others.tolist()):
         if partner:  # empty when the surrogate search did not run
-            res = stats.paired_t_test(partner, other, alpha=alpha, trend=trend)
+            res = stats.paired_t_test(partner, other)
             out.append((feature, res, stats.one_sided_p(res)))
     return out
 
@@ -435,15 +457,13 @@ def run_stages(
             with_normalization="norm" in needs,
         )
     if "surrogates" in needs:
-        ttests = partner_other_ttests(measurement, alpha=config.alpha, trend=config.trend)
+        ttests = partner_other_ttests(measurement)
     if "scores" in needs:
         grid = []
         if score_table is not None:
             table = measurement.table(config.grid_measure)
             with prefixed(f"{config.scores} with {config.manifest}"):
-                grid = stats.correlate_grid(
-                    table, score_table.speaker_means(), alpha=config.alpha, trend=config.trend
-                )
+                grid = stats.correlate_grid(table, score_table.speaker_means())
     return Stages(config, manifest, processed, measurement, ttests, grid, checksum)
 
 
@@ -476,7 +496,10 @@ BUNDLE = {
         lambda s, path: write_ttest_csv(s.ttests, path, alpha=s.config.alpha),
     ),
     "dyads.csv": (("dtw",), lambda s, path: write_dyads_csv(s.measurement, path)),
-    "grid.csv": (("dtw", "norm", "scores"), lambda s, path: write_grid_csv(s.grid, path)),
+    "grid.csv": (
+        ("dtw", "norm", "scores"),
+        lambda s, path: write_grid_csv(s.grid, path, alpha=s.config.alpha, trend=s.config.trend),
+    ),
     "run.json": (("checksum",), _write_run_json),
 }
 

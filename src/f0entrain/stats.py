@@ -3,9 +3,11 @@
 Self-contained: t and F tail probabilities are computed from an internal
 regularized incomplete beta function (continued-fraction evaluation), so
 the toolkit carries no statistics dependency. Provides the paired t-test,
-Pearson correlation with significance, the two-way mixed-effects
+Pearson correlation with its p-value, the two-way mixed-effects
 intraclass correlation for rater agreement, and the feature x criterion
-correlation grid.
+correlation grid. Results are numbers: judging a p-value against a
+significance level or trend threshold is the report's job
+(``pipeline.significance``).
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import numpy as np
 from f0entrain.errors import ComputeError
 
 DEFAULT_ALPHA = 0.05
-DEFAULT_TREND = 0.1
 
 _CF_MAX_ITER = 300
 _CF_EPS = 3e-16
@@ -33,8 +34,6 @@ class TestResult:
     statistic: float
     df: float
     p_value: float
-    significant: bool
-    trend: bool
 
 
 @dataclass(frozen=True)
@@ -43,11 +42,6 @@ class IccResult:
     p_value: float
     ci_low: float
     ci_high: float
-
-
-def _flags(p: float, alpha: float, trend: float) -> tuple[bool, bool]:
-    significant = p < alpha
-    return significant, significant or p < trend
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:
@@ -155,12 +149,7 @@ def f_ppf(q: float, df1: float, df2: float) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow raises ComputeError instead
-def paired_t_test(
-    x: Sequence[float],
-    y: Sequence[float],
-    alpha: float = DEFAULT_ALPHA,
-    trend: float = DEFAULT_TREND,
-) -> TestResult:
+def paired_t_test(x: Sequence[float], y: Sequence[float]) -> TestResult:
     """Paired t-test of x against y (two-sided p)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -176,9 +165,7 @@ def paired_t_test(
     if not math.isfinite(sd):
         raise ComputeError("paired differences overflow float64")
     t = float(d.mean()) / (sd / math.sqrt(n))
-    p = t_sf(t, n - 1)
-    sig, trd = _flags(p, alpha, trend)
-    return TestResult(statistic=t, df=float(n - 1), p_value=p, significant=sig, trend=trd)
+    return TestResult(statistic=t, df=float(n - 1), p_value=t_sf(t, n - 1))
 
 
 def one_sided_p(result: TestResult) -> float:
@@ -188,12 +175,7 @@ def one_sided_p(result: TestResult) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a value out of range raises ComputeError instead
-def pearson(
-    x: Sequence[float],
-    y: Sequence[float],
-    alpha: float = DEFAULT_ALPHA,
-    trend: float = DEFAULT_TREND,
-) -> TestResult:
+def pearson(x: Sequence[float], y: Sequence[float]) -> TestResult:
     """Pearson correlation with a two-sided t-test of r = 0."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -218,8 +200,7 @@ def pearson(
     else:
         t = r * math.sqrt((n - 2) / (1.0 - r * r))
         p = t_sf(t, n - 2)
-    sig, trd = _flags(p, alpha, trend)
-    return TestResult(statistic=r, df=float(n - 2), p_value=p, significant=sig, trend=trd)
+    return TestResult(statistic=r, df=float(n - 2), p_value=p)
 
 
 def icc_3k(
@@ -283,15 +264,11 @@ class GridCell:
     r: float | None
     p: float | None
     n: int
-    significant: bool
-    trend: bool
 
 
 def correlate_grid(
     entrainment: Mapping[str, Mapping[str, float]],
     scores: Mapping[str, Mapping[str, float]],
-    alpha: float = DEFAULT_ALPHA,
-    trend: float = DEFAULT_TREND,
 ) -> list[GridCell]:
     """Pearson r and p for every (feature, criterion) cell.
 
@@ -317,13 +294,9 @@ def correlate_grid(
         for criterion in criteria:
             y = [scores[spk][criterion] for spk in measured]
             try:
-                res = pearson(x, y, alpha=alpha, trend=trend)
-                cells.append(
-                    GridCell(
-                        feature, criterion, res.statistic, res.p_value,
-                        len(measured), res.significant, res.trend,
-                    )
-                )
+                res = pearson(x, y)
+                r, p = res.statistic, res.p_value
             except ComputeError:
-                cells.append(GridCell(feature, criterion, None, None, len(measured), False, False))
+                r = p = None
+            cells.append(GridCell(feature, criterion, r, p, len(measured)))
     return cells

@@ -139,8 +139,7 @@ def test_c05_statistics_kernel(tmp_path):
         assert icc_3k([[1, 2], [2, 3], [3, 4]]).icc == 1.0
         # partner-vs-other report row for t = -4.44 at 57 df
         p_two = t_sf(4.44, 57.0)
-        res = TestResult(statistic=-4.44, df=57.0, p_value=p_two,
-                         significant=p_two < 0.05, trend=True)
+        res = TestResult(statistic=-4.44, df=57.0, p_value=p_two)
         pipeline.write_ttest_csv([("median", res, one_sided_p(res))], tmp_path / "ttest.csv")
         printed_p = float((tmp_path / "ttest.csv").read_text().splitlines()[1].split(",")[3])
         assert abs(printed_p - 2.1e-5) / 2.1e-5 <= 0.10

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import io
 import json
 import os
@@ -298,6 +299,34 @@ def test_manifest_field_not_a_list_exits_1(corpus, tmp_path, field):
     assert res.stderr == f"error: {broken}: {field} must be a list\n"
 
 
+@pytest.mark.parametrize("edit, named", [
+    (lambda doc: [doc], "manifest must be a JSON object"),
+    (lambda doc: {**doc, "speakers": doc["speakers"] + doc["speakers"][:1]},
+     "duplicate speaker id(s) ['S00']"),
+    (lambda doc: {**doc, "utterances": [5] + doc["utterances"][1:]},
+     "utterances[0] must be an object"),
+    (lambda doc: {**doc, "utterances": [{**doc["utterances"][0], "model": "X9"}]},
+     "utterances[0] references unknown speaker 'X9'"),
+], ids=["not-an-object", "duplicate-speaker-id", "utterance-not-an-object", "unknown-model"])
+def test_bad_manifest_exits_1_naming_it(corpus, tmp_path, capsys, edit, named):
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(edit(json.loads((corpus / "manifest.json").read_text()))))
+    assert main(["run", "--manifest", str(broken), "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == f"error: {broken}: {named}\n"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("given, named", [
+    (["--out", "r"], "a corpus manifest is required (--manifest or config file)"),
+    (["--manifest", "absent.json"], "an output path is required (--out or config file)"),
+], ids=["no-manifest", "no-out"])
+def test_run_without_manifest_or_out_exits_1(tmp_path, monkeypatch, capsys, given, named):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", *given]) == 1
+    assert capsys.readouterr().err == f"error: {named}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_manifest_missing_field_names_file(corpus, tmp_path):
     doc = json.loads((corpus / "manifest.json").read_text())
     del doc["utterances"][0]["model_f0"]
@@ -526,6 +555,64 @@ def test_stdout_table_bytes_do_not_depend_on_the_locale(tmp_path):
     assert printed[1] == printed[0] == (tmp_path / "t.csv").read_bytes()
 
 
+def _csv_rows(path: Path) -> list[list[str]]:
+    """A written table as ``csv.reader`` reads it; every row must be as wide as the header."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert {len(row) for row in rows} == {len(rows[0])}, path
+    return rows
+
+
+def test_speaker_id_with_a_comma_reads_back_from_every_table(corpus, tmp_path):
+    corpus_dir = shutil.copytree(corpus, tmp_path / "c")
+    manifest, scores = corpus_dir / "manifest.json", corpus_dir / "scores.csv"
+    manifest.write_text(manifest.read_text().replace('"S00"', '"Rossi, M."'))
+    speakers = [s["id"] for s in json.loads(manifest.read_text())["speakers"]]
+    rng = np.random.default_rng(5)
+    ingest.write_scores_csv([
+        ingest.ScoreRow(speaker, f"R{r}", *rng.uniform(1, 5, 4).tolist())
+        for speaker in speakers for r in range(2)
+    ], scores)
+    out = tmp_path / "report"
+    assert main(["run", "--manifest", str(manifest), "--scores", str(scores),
+                 "--out", str(out)]) == 0
+    for name in ("features.csv", "dtw_samples.csv", "entrain.csv", "validate.csv", "dyads.csv"):
+        assert "Rossi, M." in {row[0] for row in _csv_rows(out / name)[1:]}, name
+    grid = tmp_path / "g.csv"
+    assert main(["grid", "--entrain", str(out / "entrain.csv"), "--scores", str(scores),
+                 "--out", str(grid)]) == 0
+    assert [row[4] for row in _csv_rows(grid)] == [row[4] for row in _csv_rows(out / "grid.csv")]
+
+
+def test_word_with_quotes_and_a_line_break_stays_in_its_row(corpus, tmp_path):
+    before = tmp_path / "before.csv"
+    assert main(["features", "--manifest", str(corpus / "manifest.json"),
+                 "--out", str(before)]) == 0
+    corpus_dir = shutil.copytree(corpus, tmp_path / "c")
+    align = corpus_dir / "align" / "S00_000_imit.json"
+    doc = json.loads(align.read_text())
+    doc["segments"][0]["words"][0]["word"] = 'say "hi"\nnow'
+    align.write_text(json.dumps(doc))
+    after = tmp_path / "after.csv"
+    assert main(["features", "--manifest", str(corpus_dir / "manifest.json"),
+                 "--out", str(after)]) == 0
+    rows = _csv_rows(after)
+    assert len(rows) == len(_csv_rows(before))
+    assert [row[:4] for row in rows if row[3] == 'say "hi"\nnow'] == [
+        ["S00", "0", "0", 'say "hi"\nnow']
+    ]
+    assert '\nS00,0,0,"say ""hi""\nnow",' in after.read_text(encoding="utf-8")
+
+
+def test_ttest_group_name_with_a_comma_reads_back(tmp_path):
+    table = tmp_path / "st.csv"
+    table.write_text('g,a,b\n"x, y",1,2\n"x, y",2,4.5\n"x, y",3,5\nz,1,1.5\nz,2,3\nz,3,3.2\n')
+    out = tmp_path / "t.csv"
+    assert main(["stats", "ttest", "--csv", str(table), "--x", "a", "--y", "b", "--by", "g",
+                 "--out", str(out)]) == 0
+    assert [row[0] for row in _csv_rows(out)] == ["group", "x, y", "z"]
+
+
 def test_stats_subcommands(corpus, tmp_path):
     assert main(["validate", "--manifest", str(corpus / "manifest.json"),
                  "--out", str(tmp_path)]) == 0
@@ -620,7 +707,7 @@ def test_norm_se_reports_extra_column(corpus, tmp_path):
 
 
 def test_grid_row_formatting(tmp_path):
-    cells = [GridCell("range", "fluency", -0.424, 0.0219, 29, True, True)]
+    cells = [GridCell("range", "fluency", -0.424, 0.0219, 29)]
     out_path = tmp_path / "grid.csv"
     pipeline.write_grid_csv(cells, out_path)
     lines = out_path.read_text().splitlines()
@@ -825,6 +912,24 @@ def test_empty_surrogate_pool_suggests_remedy(tmp_path, capsys):
     assert "the corpus needs two same-sex dyads, or pass --surrogate-pool all" in err
 
 
+@pytest.mark.parametrize("dyads, shift, named", [
+    (1, 0, "empty surrogate pool for speaker 'S00' (pool=all): the corpus needs two dyads"),
+    (2, 10, "no surrogate candidate shares utterance indices with speaker 'S00'"),
+], ids=["one-dyad", "no-shared-index"])
+def test_surrogate_search_without_a_candidate_exits_1(tmp_path, capsys, dyads, shift, named):
+    manifest = synth.gen_corpus(
+        synth.SynthConfig(n_dyads=dyads, n_utterances=4, noise_eps=0.5), tmp_path / "c"
+    )
+    doc = json.loads(manifest.read_text())
+    for rec in doc["utterances"]:
+        if rec["imitator"] not in doc["dyads"][0]:  # other dyads read other texts
+            rec["index"] += shift
+    manifest.write_text(json.dumps(doc))
+    assert main(["run", "--manifest", str(manifest), "--surrogate-pool", "all",
+                 "--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == f"error: {named}\n"
+
+
 @pytest.fixture(scope="module")
 def outlier_run(tmp_path_factory):
     """(run exit code, corpus, bundle) on one text per dyad: every slope
@@ -914,6 +1019,9 @@ BAD_INPUTS = {
     "grid-no-overlap": (["grid", "--entrain", "{}", "--scores", "s.csv", "--out", "g.csv"],
                         "in.csv", b"speaker,feature,e_opt\nX1,mean,1\n",
                         " with s.csv: insufficient overlap: only 0 speakers in both tables"),
+    "icc-incomplete-matrix": (["stats", "icc", "--scores", "{}"], "in.csv",
+                              SCORES_TEXT.rsplit("S4,R2,", 1)[0].encode(),
+                              ": incomplete matrix, no rating by 'R2' for 'S4'"),
 }
 
 

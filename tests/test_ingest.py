@@ -565,7 +565,9 @@ def test_non_utf8_input_names_file(tmp_path, load, name):
         load(path)
 
 
-@pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN", "1.5", "1e400", "[0]"])
+@pytest.mark.parametrize(
+    "text", ["Infinity", "-Infinity", "NaN", "1.5", "1e400", "[0]", "true", "false", '"0"']
+)
 def test_non_integer_json_index_rejected(tmp_path, text):
     path = tmp_path / "manifest.json"
     doc = json.dumps(minimal_manifest_doc()).replace('"index": 0', f'"index": {text}', 1)

@@ -83,6 +83,15 @@ def test_two_pass_short_track_warns():
     assert result.track is track
 
 
+def test_pooled_bounds_that_reject_a_whole_track_leave_it_and_warn():
+    # a speaker's pooled bounds can exclude every sample of one of its tracks
+    track = make_track([300, 310, 320, 330, 340])
+    result = two_pass_outlier(track, bounds=(100.0, 250.0))
+    assert result.track is track
+    assert result.n_replaced == 0
+    assert result.warned
+
+
 def test_two_pass_requires_voiced():
     track = make_track([100, 0, 120], voiced=[True, False, True])
     with pytest.raises(ComputeError):

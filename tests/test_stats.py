@@ -6,7 +6,9 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from f0entrain.errors import ComputeError
+from f0entrain.pipeline import DEFAULT_TREND, significance
 from f0entrain.stats import (
+    DEFAULT_ALPHA,
     correlate_grid,
     f_ppf,
     f_sf,
@@ -122,14 +124,13 @@ def test_paired_t_worked_example():
     assert res.statistic == pytest.approx(2.0 * math.sqrt(3.0), rel=1e-12)
     assert res.df == 2.0
     assert res.p_value == pytest.approx(0.0742, abs=1e-4)
-    assert not res.significant
-    assert res.trend
+    assert significance(res.p_value, DEFAULT_ALPHA, DEFAULT_TREND) == (False, True)
 
 
 def test_significant_implies_trend_even_with_odd_thresholds():
     # alpha above the trend threshold must not break the implication
-    res = paired_t_test([2.0, 4.0, 6.0], [1.0, 2.0, 3.0], alpha=0.2, trend=0.01)
-    assert res.significant and res.trend
+    res = paired_t_test([2.0, 4.0, 6.0], [1.0, 2.0, 3.0])
+    assert significance(res.p_value, alpha=0.2, trend=0.01) == (True, True)
 
 
 def test_paired_t_zero_variance():
@@ -173,7 +174,7 @@ def test_pearson_perfect():
     res = pearson([1.0, 2.0, 3.0], [2.0, 4.0, 6.0])
     assert res.statistic == 1.0
     assert res.p_value == 0.0
-    assert res.significant and res.trend
+    assert significance(res.p_value, DEFAULT_ALPHA, DEFAULT_TREND) == (True, True)
 
 
 def test_pearson_four_point_exact():
@@ -332,7 +333,7 @@ def test_grid_zero_variance_cell_is_undefined():
     cells = {(c.feature, c.criterion): c for c in correlate_grid(ent, sco)}
     cell = cells[("mean", "overall")]
     assert cell.r is None and cell.p is None
-    assert not cell.significant and not cell.trend
+    assert significance(cell.p, DEFAULT_ALPHA, DEFAULT_TREND) == (False, False)
 
 
 def test_grid_counts_speakers_per_feature():

@@ -66,6 +66,7 @@ CASES = {
     "f0-nan-time-row-1": (F0, f0_row(1, lambda t, f: f"nan,{f}")),
     "f0-nan-time-row-4": (F0, f0_row(4, lambda t, f: f"nan,{f}")),
     "f0-not-utf8": (F0, lambda raw: raw.replace(b"0.03", b"0.0\xff", 1)),
+    "f0-one-row": (F0, lambda raw: b"".join(raw.splitlines(keepends=True)[:2])),
     "align-not-json": (ALIGN, lambda raw: raw[: len(raw) // 2]),
     "align-non-finite-time": (ALIGN, alignment_word(1, "end", lambda w: math.inf)),
     "align-overlapping-words": (ALIGN, alignment_word(1, "start", lambda w: w["start"] - 0.05)),
